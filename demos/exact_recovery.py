@@ -28,7 +28,7 @@ def build_instance(rng, m=30, n_pre=20, rank=5):
 
 
 def run_once(data, k, seed, aggressive):
-    hp = Hyperparameters(k=k, iterations=200, burn_in=50, thinning=5, aggressive=aggressive)
+    hp = Hyperparameters(k=k, iterations=200, burn_in=50, thinning=5)
     runner = run_gibbs_aggressive if aggressive else run_gibbs
     state, trace = runner(data, hp, np.random.default_rng(seed))
     label = "aggressive" if aggressive else "plain"

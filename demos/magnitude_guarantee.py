@@ -59,7 +59,7 @@ def main():
           f"max |w| {base.max_abs_w:.2f} "
           f"(excess {max_magnitude_excess(base.w):.2f})")
 
-    hp = Hyperparameters(k=args.k, iterations=500, burn_in=100, thinning=5, aggressive=True)
+    hp = Hyperparameters(k=args.k, iterations=500, burn_in=100, thinning=5)
     state, trace = run_gibbs_aggressive(data, hp, np.random.default_rng(args.seed))
     canonical = extract_canonical(state, data)
     print(f"  gibbs sampler:       mse {posterior_mean_mse(trace.mse_per_iter, 100, 5):.5f} "

@@ -16,13 +16,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import build_run_report, iterations_to_plateau, mixing_verdict
+from .diagnostics import (
+    build_run_report,
+    iterations_to_plateau,
+    kept_iterations,
+    mixing_verdict,
+    probe_autocorrelations,
+)
 from .errors import BayesidError, ConfigurationError, InputError, NumericalError
 from .io import (
     PreprocessConfig,
@@ -37,7 +42,6 @@ from .model import Hyperparameters, ObservedMatrix
 from .postprocess import extract_canonical
 from .rid import max_magnitude_excess, randomized_id
 from .sampler import run_gibbs, run_gibbs_aggressive
-from .errors import ParseError  # noqa: F401  (re-exported for callers of read_trace_csv)
 
 METHOD_GBT = "gbt"
 METHOD_GBTN = "gbtn"
@@ -46,30 +50,6 @@ METHOD_RID = "rid"
 METHODS = (METHOD_GBT, METHOD_GBTN, METHOD_GBT_AGGRESSIVE, METHOD_RID)
 
 _EXIT_CODES = ((ConfigurationError, 2, "config"), (InputError, 3, "input"), (NumericalError, 4, "numerical"))
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one decomposition run."""
-
-    input_path: Path
-    out_dir: Path
-    method: str
-    k: int
-    seed: int
-    iterations: int
-    burn_in: int
-    thinning: int
-    oversample: float | None
-    fmt: str | None
-    has_header: bool
-    prep: PreprocessConfig
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.oversample is not None and self.method != METHOD_RID:
-            raise ConfigurationError("--oversample applies only to the rid method")
 
 
 def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
@@ -183,71 +163,35 @@ def _prep_metadata(prep: PreprocessConfig, before, after) -> dict:
     }
 
 
-def _hyperparameters(cfg: RunConfig) -> Hyperparameters:
-    return Hyperparameters(
-        k=cfg.k,
-        iterations=cfg.iterations,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        variant=METHOD_GBTN if cfg.method == METHOD_GBTN else METHOD_GBT,
-        aggressive=cfg.method == METHOD_GBT_AGGRESSIVE,
-    )
+def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations: int,
+               burn_in: int, thinning: int, oversample: float | None):
+    """Run one method on a preprocessed matrix; the single path of decompose and benchmark.
 
-
-def cmd_decompose(args) -> int:
-    method = args.method
-    if args.aggressive:
-        if method == METHOD_GBT:
-            method = METHOD_GBT_AGGRESSIVE
-        elif method != METHOD_GBT_AGGRESSIVE:
-            raise ConfigurationError("--aggressive applies only to the gbt method")
-    cfg = RunConfig(
-        input_path=args.input,
-        out_dir=_resolve_out(args),
-        method=method,
-        k=args.k,
-        seed=args.seed,
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        oversample=args.oversample,
-        fmt=args.format,
-        has_header=args.has_header,
-        prep=_prep_from_args(args),
-    )
-    raw = load_matrix(cfg.input_path, fmt=cfg.fmt, has_header=cfg.has_header)
-    data = preprocess(raw, cfg.prep)
-    rng = np.random.default_rng(cfg.seed)
-    meta = {
-        "command": "decompose",
-        "method": cfg.method,
-        "k": cfg.k,
-        "seed": cfg.seed,
-        **_prep_metadata(cfg.prep, raw.shape, data.shape),
-    }
-
-    if cfg.method == METHOD_RID:
-        oversample = 1.2 if cfg.oversample is None else cfg.oversample
-        result = randomized_id(data.values, cfg.k, rng, oversample=oversample)
-        final_mse = diagnostics.mse(data.values, result.c, result.w)
-        meta.update({
+    Returns (C, W, result metadata, trace), where the trace is None for rid.
+    """
+    rng = np.random.default_rng(seed)
+    if method == METHOD_RID:
+        oversample = 1.2 if oversample is None else oversample
+        result = randomized_id(data.values, k, rng, oversample=oversample)
+        meta = {
             "oversample": oversample,
             "j_set": [int(j) for j in result.j_set],
-            "mse": final_mse,
+            "mse": diagnostics.mse(data.values, result.c, result.w),
             "mse_observed": diagnostics.mse_observed(data, result.c, result.w),
             "max_abs_w": result.max_abs_w,
             "magnitude_excess": max_magnitude_excess(result.w),
-        })
-        save_result(cfg.out_dir, result.c, result.w, meta)
-        print(f"method=rid k={cfg.k} mse={final_mse:.6g} max_abs_w={result.max_abs_w:.6g}")
-        return 0
+        }
+        return result.c, result.w, meta, None
 
-    hp = _hyperparameters(cfg)
-    runner = run_gibbs_aggressive if hp.aggressive else run_gibbs
+    hp = Hyperparameters(
+        k=k, iterations=iterations, burn_in=burn_in, thinning=thinning,
+        variant=METHOD_GBTN if method == METHOD_GBTN else METHOD_GBT,
+    )
+    runner = run_gibbs_aggressive if method == METHOD_GBT_AGGRESSIVE else run_gibbs
     state, trace = runner(data, hp, rng)
     report = build_run_report(trace, hp.burn_in, hp.thinning)
     canonical = extract_canonical(state, data)
-    meta.update({
+    meta = {
         "iterations": hp.iterations,
         "burn_in": hp.burn_in,
         "thinning": hp.thinning,
@@ -262,14 +206,48 @@ def cmd_decompose(args) -> int:
         "max_abs_w": float(np.max(np.abs(canonical.w))),
         "magnitude_excess": max_magnitude_excess(canonical.w),
         "mixing": report.mixing,
-    })
-    save_result(cfg.out_dir, canonical.c, canonical.w, meta)
-    write_trace_csv(cfg.out_dir / "trace.csv", trace)
+    }
+    return canonical.c, canonical.w, meta, trace
+
+
+def cmd_decompose(args) -> int:
+    method = args.method
+    if args.aggressive:
+        if method == METHOD_GBT:
+            method = METHOD_GBT_AGGRESSIVE
+        elif method != METHOD_GBT_AGGRESSIVE:
+            raise ConfigurationError("--aggressive applies only to the gbt method")
+    out_dir = _resolve_out(args)
+    prep = _prep_from_args(args)
+    if args.oversample is not None and method != METHOD_RID:
+        raise ConfigurationError("--oversample applies only to the rid method")
+    raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
+    data = preprocess(raw, prep)
+    c, w, result, trace = _decompose(
+        data, method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
+        args.oversample,
+    )
+    meta = {
+        "command": "decompose",
+        "method": method,
+        "k": args.k,
+        "seed": args.seed,
+        **_prep_metadata(prep, raw.shape, data.shape),
+        **result,
+    }
+    save_result(out_dir, c, w, meta)
+    if trace is None:
+        print(f"method=rid k={args.k} mse={result['mse']:.6g} max_abs_w={result['max_abs_w']:.6g}")
+        return 0
+    write_trace_csv(out_dir / "trace.csv", trace)
     print(
-        f"method={cfg.method} k={cfg.k} mse={report.mse_final:.6g} "
-        f"posterior_mean_mse={report.mse_posterior_mean:.6g} mixing={report.mixing}"
+        f"method={method} k={args.k} mse={result['mse']:.6g} "
+        f"posterior_mean_mse={result['mse_posterior_mean']:.6g} mixing={result['mixing']}"
     )
     return 0
+
+
+_CELL_KEYS = ("mse", "mse_observed", "max_abs_w", "magnitude_excess")
 
 
 def cmd_benchmark(args) -> int:
@@ -287,46 +265,27 @@ def cmd_benchmark(args) -> int:
     for k in ks:
         for method in (METHOD_GBT, METHOD_RID):
             started = time.perf_counter()
-            rng = np.random.default_rng(args.seed)
             try:
-                if method == METHOD_RID:
-                    oversample = 1.2 if args.oversample is None else args.oversample
-                    result = randomized_id(data.values, k, rng, oversample=oversample)
-                    cell = {
-                        "mse": diagnostics.mse(data.values, result.c, result.w),
-                        "mse_observed": diagnostics.mse_observed(data, result.c, result.w),
-                        "max_abs_w": result.max_abs_w,
-                        "magnitude_excess": max_magnitude_excess(result.w),
-                    }
-                else:
-                    hp = Hyperparameters(
-                        k=k, iterations=args.iterations, burn_in=args.burn_in,
-                        thinning=args.thinning,
-                    )
-                    state, trace = run_gibbs(data, hp, rng)
-                    canonical = extract_canonical(state, data)
-                    cell = {
-                        "mse": diagnostics.posterior_mean_mse(
-                            trace.mse_per_iter, hp.burn_in, hp.thinning
-                        ),
-                        "mse_observed": float(np.mean(
-                            trace.mse_observed_per_iter[
-                                diagnostics.kept_iterations(hp.iterations, hp.burn_in, hp.thinning)
-                            ]
-                        )),
-                        "max_abs_w": float(np.max(np.abs(canonical.w))),
-                        "magnitude_excess": max_magnitude_excess(canonical.w),
-                    }
+                _, _, result, trace = _decompose(
+                    data, method, k, args.seed, args.iterations, args.burn_in, args.thinning,
+                    args.oversample,
+                )
+                cell = {key: result[key] for key in _CELL_KEYS}
+                if trace is not None:
+                    # gbt cells are posterior means over the kept iterations
+                    keep = kept_iterations(args.iterations, args.burn_in, args.thinning)
+                    cell["mse"] = result["mse_posterior_mean"]
+                    cell["mse_observed"] = float(np.mean(trace.mse_observed_per_iter[keep]))
                 status = "ok"
             except BayesidError as exc:
-                cell = {"mse": "", "mse_observed": "", "max_abs_w": "", "magnitude_excess": ""}
-                status = f"{_category(exc)}: {exc}"
+                cell = dict.fromkeys(_CELL_KEYS, "")
+                status = f"{_category(exc)[1]}: {exc}"
             timings.append((k, method, time.perf_counter() - started))
             rows.append({"k": k, "method": method, **cell, "status": status})
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "benchmark.csv", "w") as fh:
-        cols = ["k", "method", "mse", "mse_observed", "max_abs_w", "magnitude_excess", "status"]
+        cols = ["k", "method", *_CELL_KEYS, "status"]
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(row[c]) for c in cols) + "\n")
@@ -394,17 +353,7 @@ def cmd_diagnose(args) -> int:
     iters = trace["mse"].size
     plateau = iterations_to_plateau(trace["mse"])
 
-    autocorrs = {}
-    for pos, chain in sorted(trace["probes"].items()):
-        kept = chain[min(args.burn_in, iters - 1):]
-        lag = min(args.max_lag, kept.size - 1)
-        if lag < 1:
-            autocorrs[pos] = None
-            continue
-        try:
-            autocorrs[pos] = diagnostics.autocorrelation(kept, lag)
-        except BayesidError:
-            autocorrs[pos] = None
+    autocorrs = probe_autocorrelations(trace["probes"], args.burn_in, args.max_lag)
     verdict = mixing_verdict(autocorrs)
 
     lines = [
@@ -442,11 +391,12 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _category(exc: BayesidError) -> str:
-    for klass, _, name in _EXIT_CODES:
+def _category(exc: BayesidError) -> tuple[int, str]:
+    """Exit code and category name of a package error."""
+    for klass, code, name in _EXIT_CODES:
         if isinstance(exc, klass):
-            return name
-    return "error"
+            return code, name
+    return 1, "internal"
 
 
 def main(argv=None) -> int:
@@ -461,12 +411,9 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except BayesidError as exc:
-        for klass, code, name in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {name}: {exc}", file=sys.stderr)
-                return code
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 1
+        code, name = _category(exc)
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -140,29 +140,33 @@ def mixing_verdict(autocorrelations: dict) -> str:
     return "good"
 
 
+def probe_autocorrelations(chains: dict, burn_in: int, max_lag: int) -> dict:
+    """Autocorrelation of each probe chain past burn-in; None for a degenerate chain.
+
+    The post-burn-in portion is used because the transient would otherwise
+    dominate every coefficient. A chain that ends inside the nominal
+    burn-in (an early-stopped run) keeps its last value, and the lag range
+    shrinks if the kept chain is short.
+    """
+    autocorrs: dict[tuple[int, int], np.ndarray | None] = {}
+    for pos, chain in chains.items():
+        kept = chain[min(burn_in, chain.size - 1):]
+        lag = min(max_lag, kept.size - 1)
+        try:
+            autocorrs[pos] = autocorrelation(kept, lag) if lag >= 1 else None
+        except DegenerateChainError:
+            autocorrs[pos] = None
+    return autocorrs
+
+
 def build_run_report(
     trace: GibbsTrace, burn_in: int, thinning: int, max_lag: int = 20
 ) -> RunReport:
-    """Summarize a trace: final and averaged losses, probe mixing, plateau.
-
-    Probe autocorrelations are computed on the post-burn-in portion of each
-    chain (the transient would otherwise dominate every coefficient); the
-    lag range shrinks if the kept chain is short.
-    """
+    """Summarize a trace: final and averaged losses, probe mixing, plateau."""
     iters = trace.mse_per_iter.size
     # an early-stopped run can end inside the nominal burn-in
     burn_eff = min(burn_in, iters - 1)
-    autocorrs: dict[tuple[int, int], np.ndarray | None] = {}
-    for pos, chain in trace.y_entry_chains.items():
-        kept = chain[burn_eff:]
-        lag = min(max_lag, kept.size - 1)
-        if lag < 1:
-            autocorrs[pos] = None
-            continue
-        try:
-            autocorrs[pos] = autocorrelation(kept, lag)
-        except DegenerateChainError:
-            autocorrs[pos] = None
+    autocorrs = probe_autocorrelations(trace.y_entry_chains, burn_in, max_lag)
     return RunReport(
         iterations=iters,
         mse_final=float(trace.mse_per_iter[-1]),

@@ -165,7 +165,6 @@ class PreprocessConfig:
     standardize: bool = True
     duplicate_columns: bool = True
     min_observed_per_vector: int = 3
-    fill_missing_zero: bool = True
 
     def __post_init__(self):
         if self.cap_value is not None and not math.isfinite(self.cap_value):
@@ -174,8 +173,6 @@ class PreprocessConfig:
             raise ConfigurationError(
                 f"min_observed_per_vector must be nonnegative, got {self.min_observed_per_vector}"
             )
-        if not self.fill_missing_zero:
-            raise ConfigurationError("only zero filling of missing entries is supported")
 
 
 def preprocess(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:

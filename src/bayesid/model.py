@@ -46,7 +46,6 @@ class Hyperparameters:
     burn_in: int = 100
     thinning: int = 5
     variant: str = VARIANT_GBT
-    aggressive: bool = False
 
     def __post_init__(self):
         if self.variant not in (VARIANT_GBT, VARIANT_GBTN):
@@ -68,8 +67,6 @@ class Hyperparameters:
             )
         if self.thinning < 1:
             raise ConfigurationError(f"thinning must be at least 1, got {self.thinning}")
-        if self.aggressive and self.variant != VARIANT_GBT:
-            raise ConfigurationError("the aggressive sampler supports only the gbt variant")
 
 
 @dataclass

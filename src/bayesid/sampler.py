@@ -94,9 +94,8 @@ def sample_weight_entry(
 
 def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> GammaParams:
     """Inverse-Gamma posterior parameters for sigma^2 at the current factors."""
-    m, n = data.shape
     rss = float(np.sum((data.values - state.x @ state.y) ** 2))
-    return GammaParams(shape=m * n / 2.0 + hp.alpha_sigma, rate=0.5 * rss + hp.beta_sigma)
+    return noise_variance_params_from_rss(rss, data.shape, hp)
 
 
 def sample_noise_variance(

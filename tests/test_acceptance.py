@@ -65,9 +65,7 @@ def test_criterion_1_sampled_weights_always_bounded():
             data = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask)
         else:
             data = ObservedMatrix.fully_observed(values)
-        hp = Hyperparameters(
-            k=k, variant=variant, aggressive=aggressive, iterations=30, burn_in=5, thinning=2
-        )
+        hp = Hyperparameters(k=k, variant=variant, iterations=30, burn_in=5, thinning=2)
         runner = run_gibbs_aggressive if aggressive else run_gibbs
         state, trace = runner(data, hp, rng, debug_checks=True)
         w = extract_canonical(state, data).w
@@ -266,7 +264,7 @@ def test_criterion_5_lower_error_than_randomized_baseline():
         a = duplicated_id_matrix(100, 30, 24, np.random.default_rng(2000 + i), noise=0.1, decay=0.92)
         data = ObservedMatrix.fully_observed(a)
         for k in wins:
-            hp = Hyperparameters(k=k, iterations=500, burn_in=100, thinning=5, aggressive=True)
+            hp = Hyperparameters(k=k, iterations=500, burn_in=100, thinning=5)
             _, tr = run_gibbs_aggressive(data, hp, np.random.default_rng(i))
             ours = posterior_mean_mse(tr.mse_per_iter, hp.burn_in, hp.thinning)
             base = randomized_id(a, k, np.random.default_rng(i))
@@ -308,9 +306,7 @@ def test_criterion_7_canonical_identity_block_exact():
     data = ObservedMatrix.fully_observed(a)
     ok = True
     for variant, aggressive in (("gbt", False), ("gbt", True), ("gbtn", False)):
-        hp = Hyperparameters(
-            k=4, variant=variant, aggressive=aggressive, iterations=25, burn_in=5, thinning=2
-        )
+        hp = Hyperparameters(k=4, variant=variant, iterations=25, burn_in=5, thinning=2)
         runner = run_gibbs_aggressive if aggressive else run_gibbs
         state, _ = runner(data, hp, np.random.default_rng(7))
         res = extract_canonical(state, data)

@@ -203,6 +203,15 @@ class TestBenchmark:
         assert main(argv + [str(o1)][:0] + ["--out", str(o1)]) == 0
         assert main(argv + ["--out", str(o2)]) == 0
         assert (o1 / "benchmark.csv").read_bytes() == (o2 / "benchmark.csv").read_bytes()
+        # the cells come from the decompose path: rid's single-pass loss and
+        # gbt's posterior mean loss
+        cells = [line.split(",") for line in (o1 / "benchmark.csv").read_text().splitlines()[1:]]
+        by_method = {row[1]: float(row[2]) for row in cells}
+        for method, key in (("rid", "mse"), ("gbt", "mse_posterior_mean")):
+            out = tmp_path / f"dec_{method}"
+            assert main(["decompose", str(src), str(out), "--method", method, *argv[2:]]) == 0
+            meta = json.loads((out / "metadata.json").read_text())
+            assert meta[key] == by_method[method], method
 
 
 def _write_trace(path, mse, probes):
@@ -233,7 +242,8 @@ class TestDiagnose:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "iterations=40" in stdout
-        assert "mixing=" in stdout
+        meta = json.loads((run_out / "metadata.json").read_text())
+        assert f"mixing={meta['mixing']}" in stdout.splitlines()
         report = (diag_out / "report.txt").read_text()
         assert report.splitlines()[0] == "iterations=40"
         auto = (diag_out / "autocorrelation.csv").read_text().splitlines()

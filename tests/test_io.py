@@ -249,8 +249,6 @@ class TestPreprocess:
             PreprocessConfig(cap_value=np.nan)
         with pytest.raises(ConfigurationError):
             PreprocessConfig(min_observed_per_vector=-1)
-        with pytest.raises(ConfigurationError):
-            PreprocessConfig(fill_missing_zero=False)
 
 
 class TestSaveResult:

@@ -25,7 +25,6 @@ class TestHyperparameters:
         assert (hp.alpha_t, hp.beta_t) == (1.0, 1.0)
         assert (hp.iterations, hp.burn_in, hp.thinning) == (500, 100, 5)
         assert hp.variant == "gbt"
-        assert hp.aggressive is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -44,7 +43,6 @@ class TestHyperparameters:
             {"k": 2, "burn_in": -1},
             {"k": 2, "thinning": 0},
             {"k": 2, "variant": "other"},
-            {"k": 2, "variant": "gbtn", "aggressive": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
