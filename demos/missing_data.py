@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from bayesid.model import Hyperparameters, ObservedMatrix
+from bayesid.postprocess import extract_canonical
 from bayesid.sampler import run_gibbs
 
 
@@ -43,7 +44,8 @@ def main():
     hp = Hyperparameters(k=12, iterations=300, burn_in=100, thinning=5)
     state, trace = run_gibbs(data, hp, np.random.default_rng(args.seed))
 
-    recon = state.x @ state.y
+    canonical = extract_canonical(state, data)
+    recon = canonical.c @ canonical.w
     seen = np.mean((noisy - recon)[mask] ** 2)
     hidden = np.mean((noisy - recon)[~mask] ** 2)
     hidden_vs_truth = np.mean((truth - recon)[~mask] ** 2)

@@ -163,6 +163,13 @@ def _prep_metadata(prep: PreprocessConfig, before, after) -> dict:
     }
 
 
+def _check_run_flags(args, ks) -> None:
+    """Apply Hyperparameters' rules to --k and the sampler flags before any input is read."""
+    for k in ks:
+        Hyperparameters(k=k, iterations=args.iterations, burn_in=args.burn_in,
+                        thinning=args.thinning)
+
+
 def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations: int,
                burn_in: int, thinning: int, oversample: float | None):
     """Run one method on a preprocessed matrix; the single path of decompose and benchmark.
@@ -221,6 +228,7 @@ def cmd_decompose(args) -> int:
     prep = _prep_from_args(args)
     if args.oversample is not None and method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
+    _check_run_flags(args, [args.k])
     raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
     data = preprocess(raw, prep)
     c, w, result, trace = _decompose(
@@ -254,9 +262,7 @@ def cmd_benchmark(args) -> int:
     out_dir = _resolve_out(args)
     prep = _prep_from_args(args)
     ks = list(args.k)
-    for k in ks:
-        if k < 1:
-            raise ConfigurationError(f"k must be at least 1, got {k}")
+    _check_run_flags(args, ks)
     raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
     data = preprocess(raw, prep)
 

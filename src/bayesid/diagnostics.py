@@ -144,9 +144,9 @@ def probe_autocorrelations(chains: dict, burn_in: int, max_lag: int) -> dict:
     """Autocorrelation of each probe chain past burn-in; None for a degenerate chain.
 
     The post-burn-in portion is used because the transient would otherwise
-    dominate every coefficient. A chain that ends inside the nominal
-    burn-in (an early-stopped run) keeps its last value, and the lag range
-    shrinks if the kept chain is short.
+    dominate every coefficient. A chain that ends inside the burn-in (a
+    saved trace read with a larger ``diagnose --burn-in``) keeps its last
+    value, and the lag range shrinks if the kept chain is short.
     """
     autocorrs: dict[tuple[int, int], np.ndarray | None] = {}
     for pos, chain in chains.items():
@@ -164,7 +164,7 @@ def build_run_report(
 ) -> RunReport:
     """Summarize a trace: final and averaged losses, probe mixing, plateau."""
     iters = trace.mse_per_iter.size
-    # an early-stopped run can end inside the nominal burn-in
+    # a trace can end inside the burn-in it is read with
     burn_eff = min(burn_in, iters - 1)
     autocorrs = probe_autocorrelations(trace.y_entry_chains, burn_in, max_lag)
     return RunReport(

@@ -1,10 +1,11 @@
 """Model configuration and sampler state.
 
-The decomposition approximates a data matrix A (M x N) as X @ Y where X
-keeps K original columns of A (the basis columns, selected by the binary
-state vector r) and zeroes the rest, and Y holds interpolation weights
-confined to [a, b]. Y is stored full N x N; rows of Y belonging to
-inactive columns of X revert to their prior during sampling.
+The decomposition approximates a data matrix A (M x N) as A[:, J] @ Y[J]
+where J holds the K basis columns, selected by the binary state vector r,
+and Y holds interpolation weights confined to [a, b]. The basis is read
+from the data through r, so the state keeps no copy of A. Y is stored
+full N x N; rows of Y belonging to inactive columns revert to their prior
+during sampling.
 """
 
 from __future__ import annotations
@@ -102,9 +103,12 @@ class ObservedMatrix:
 
 @dataclass
 class IdState:
-    """Current Gibbs state: factors, state vector, noise variance, weight priors."""
+    """Current Gibbs state: weights, state vector, noise variance, weight priors.
 
-    x: np.ndarray
+    The basis is data.values[:, basis_indices]; ``residual`` forms what
+    the state leaves of the data unexplained.
+    """
+
     y: np.ndarray
     r: np.ndarray
     sigma2: float
@@ -122,11 +126,10 @@ class IdState:
         return np.flatnonzero(self.r == 0)
 
 
-def rebuild_x(x: np.ndarray, values: np.ndarray, r: np.ndarray) -> None:
-    """Refresh x in place from the state vector: data columns where r=1, zero elsewhere."""
-    active = r == 1
-    x[:, active] = values[:, active]
-    x[:, ~active] = 0.0
+def residual(values: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """values - values[:, J] @ y[J], with J the active columns of the state vector r."""
+    active = np.nonzero(r == 1)[0]
+    return values - values[:, active] @ y[active]
 
 
 def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator) -> IdState:
@@ -139,9 +142,10 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     an exact decomposition inside the default weight bounds. The choice is
     deterministic and draws no random numbers. Y is drawn entrywise from its
     weight prior (no identity pattern imposed), and the noise variance is
-    one draw from its prior, floored at 1e-6.
+    one draw from its prior, floored at 1e-6. The state's arrays are all
+    N x N or shorter, whatever the row count M.
     """
-    m, n = data.shape
+    n = data.shape[1]
     if hp.k > n:
         raise ConfigurationError(f"k={hp.k} exceeds the column count {n}")
 
@@ -158,29 +162,21 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
 
     y = sample_gtn_array(gtn_mu, gtn_tau, hp.a, hp.b, rng)
 
-    x = np.zeros((m, n))
-    rebuild_x(x, data.values, r)
-
     sigma2 = sample_inverse_gamma(GammaParams(hp.alpha_sigma, hp.beta_sigma), rng)
     sigma2 = max(sigma2, _SIGMA2_FLOOR)
 
-    return IdState(x=x, y=y, r=r, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
+    return IdState(y=y, r=r, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
 
 
 def validate_state(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> None:
     """Structural invariant check, run every iteration in debug mode."""
-    m, n = data.shape
-    if state.x.shape != (m, n) or state.y.shape != (n, n) or state.r.shape != (n,):
+    n = data.shape[1]
+    if state.y.shape != (n, n) or state.r.shape != (n,):
         raise ValueError("state array shapes do not match the data")
     if not np.all((state.r == 0) | (state.r == 1)):
         raise ValueError("state vector entries must be 0 or 1")
     if int(state.r.sum()) != hp.k:
         raise ValueError(f"state vector has {int(state.r.sum())} active columns, expected {hp.k}")
-    active = state.r == 1
-    if not np.array_equal(state.x[:, active], data.values[:, active]):
-        raise ValueError("active columns of x must equal the data columns")
-    if np.any(state.x[:, ~active] != 0.0):
-        raise ValueError("inactive columns of x must be zero")
     if np.any(state.y < hp.a) or np.any(state.y > hp.b):
         raise ValueError("y entries fall outside the weight bounds")
     if not (np.isfinite(state.sigma2) and state.sigma2 > 0):

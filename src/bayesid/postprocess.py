@@ -1,8 +1,10 @@
 """Canonical form of a sampled decomposition.
 
-A sampler state stores Y full; the canonical interpolative form keeps only
-the rows of the selected columns and pins W[:, j_set] to the exact
-identity, which the sampled rows approach but never hit exactly.
+A sampler state holds the state vector and the full weight matrix Y, and
+no basis. The canonical interpolative form reads C = A[:, j_set] off the
+data, keeps only the rows of Y of the selected columns, and pins
+W[:, j_set] to the exact identity, which the sampled rows approach but
+never hit exactly.
 """
 
 from __future__ import annotations

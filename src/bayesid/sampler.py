@@ -32,7 +32,7 @@ from .model import (
     IdState,
     ObservedMatrix,
     init_state,
-    rebuild_x,
+    residual,
     validate_state,
 )
 
@@ -70,13 +70,15 @@ def _sigmoid(log_odds: float) -> float:
 def weight_entry_params(state: IdState, data: ObservedMatrix, k: int, l: int) -> tuple[float, float]:
     """Posterior (mean, precision) of y[k, l] given everything else.
 
-    When column k of x is zero the likelihood contributes nothing and the
-    parameters revert to the prior for that entry.
+    When column k is inactive the likelihood contributes nothing and the
+    parameters are the prior's for that entry.
     """
-    x_k = state.x[:, k]
+    if state.r[k] != 1:
+        return float(state.gtn_mu[k, l]), float(state.gtn_tau[k, l])
+    x_k = data.values[:, k]
     s = float(x_k @ x_k)
     # residual of column l with entry (k, l)'s own contribution removed
-    partial = data.values[:, l] - state.x @ state.y[:, l] + x_k * state.y[k, l]
+    partial = residual(data.values, state.y, state.r)[:, l] + x_k * state.y[k, l]
     tau_post = s / state.sigma2 + state.gtn_tau[k, l]
     mu_post = (float(x_k @ partial) / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau_post
     return mu_post, tau_post
@@ -94,7 +96,7 @@ def sample_weight_entry(
 
 def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> GammaParams:
     """Inverse-Gamma posterior parameters for sigma^2 at the current factors."""
-    rss = float(np.sum((data.values - state.x @ state.y) ** 2))
+    rss = float(np.sum(residual(data.values, state.y, state.r) ** 2))
     return noise_variance_params_from_rss(rss, data.shape, hp)
 
 
@@ -163,15 +165,14 @@ def state_swap_log_odds(
     if state.r[j] != 1 or state.r[i] != 0:
         raise ConfigurationError(f"swap requires an active j and inactive i, got r[{j}]={state.r[j]}, r[{i}]={state.r[i]}")
     if full_recompute:
-        x_swap = state.x.copy()
-        x_swap[:, j] = 0.0
-        x_swap[:, i] = data.values[:, i]
-        rss_now = float(np.sum((data.values - state.x @ state.y) ** 2))
-        rss_swap = float(np.sum((data.values - x_swap @ state.y) ** 2))
+        r_swap = state.r.copy()
+        r_swap[j], r_swap[i] = 0, 1
+        rss_now = float(np.sum(residual(data.values, state.y, state.r) ** 2))
+        rss_swap = float(np.sum(residual(data.values, state.y, r_swap) ** 2))
         diff = rss_swap - rss_now
     else:
         if resid is None:
-            resid = data.values - state.x @ state.y
+            resid = residual(data.values, state.y, state.r)
         # removing column j adds back its contribution, activating i removes i's
         delta = np.outer(data.values[:, j], state.y[j, :]) - np.outer(data.values[:, i], state.y[i, :])
         diff = 2.0 * float(np.sum(resid * delta)) + float(np.sum(delta * delta))
@@ -179,10 +180,18 @@ def state_swap_log_odds(
     return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
 
 
+def _draw_swap_pair(r: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
+    """A uniform (active j, inactive i) pair, or None when every column is active."""
+    active = np.flatnonzero(r == 1)
+    inactive = np.flatnonzero(r == 0)
+    if inactive.size == 0:
+        return None
+    return int(active[rng.integers(active.size)]), int(inactive[rng.integers(inactive.size)])
+
+
 def sample_state_vector(
     state: IdState,
     data: ObservedMatrix,
-    hp: Hyperparameters,
     rng: np.random.Generator,
     resid: np.ndarray | None = None,
     debug_checks: bool = False,
@@ -193,12 +202,10 @@ def sample_state_vector(
     swap and the state is returned unchanged. When ``resid`` is passed it
     is updated in place on acceptance, so callers can keep it current.
     """
-    active = state.basis_indices
-    inactive = state.interpolated_indices
-    if inactive.size == 0:
+    pair = _draw_swap_pair(state.r, rng)
+    if pair is None:
         return False
-    j = int(active[rng.integers(active.size)])
-    i = int(inactive[rng.integers(inactive.size)])
+    j, i = pair
     log_odds = state_swap_log_odds(state, data, j, i, resid=resid)
     if debug_checks:
         full = state_swap_log_odds(state, data, j, i, full_recompute=True)
@@ -213,8 +220,6 @@ def sample_state_vector(
             resid -= np.outer(data.values[:, i], state.y[i, :])
         state.r[j] = 0
         state.r[i] = 1
-        state.x[:, j] = 0.0
-        state.x[:, i] = data.values[:, i]
     return accept
 
 
@@ -222,19 +227,20 @@ def sample_state_vector(
 # full sweeps
 
 
-def _sweep_weights(values, x, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
+def _sweep_weights(values, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
     """One systematic Gibbs scan over every entry of y, in place.
 
-    Active rows are updated row by row against the maintained residual;
-    within a row the entries are conditionally independent, so each row is
-    drawn in one vectorized call. Rows of inactive columns do not touch the
-    residual and revert to their prior, drawn as one block.
+    Active rows are updated row by row against the maintained residual,
+    each against its own data column values[:, k]; within a row the
+    entries are conditionally independent, so each row is drawn in one
+    vectorized call. Rows of inactive columns do not touch the residual
+    and revert to their prior, drawn as one block.
 
-    Returns the residual values - x @ y for the updated y.
+    Returns the residual of the updated y, as ``model.residual`` forms it.
     """
-    resid = values - x @ y
+    resid = residual(values, y, r)
     for k in np.flatnonzero(r == 1):
-        x_k = x[:, k]
+        x_k = values[:, k]
         s = float(x_k @ x_k)
         old = y[k, :].copy()
         tau_post = s / sigma2 + gtn_tau[k, :]
@@ -294,23 +300,14 @@ class _TraceRecorder:
         self.count += 1
 
     def finish(self) -> GibbsTrace:
-        t = self.count
-        chains = {pos: self.probe_vals[p, :t].copy() for p, pos in enumerate(self.probes)}
+        chains = {pos: self.probe_vals[p] for p, pos in enumerate(self.probes)}
         return GibbsTrace(
-            mse_per_iter=self.mse[:t].copy(),
-            mse_observed_per_iter=self.mse_obs[:t].copy(),
-            sigma2_chain=self.sigma2[:t].copy(),
+            mse_per_iter=self.mse,
+            mse_observed_per_iter=self.mse_obs,
+            sigma2_chain=self.sigma2,
             y_entry_chains=chains,
             accepted_swaps=self.swaps,
         )
-
-
-def _plateaued(mse: np.ndarray, t: int, tol: float, window: int) -> bool:
-    if t + 1 < window + 1:
-        return False
-    recent = mse[t - window : t + 1]
-    denom = np.maximum(np.abs(recent[:-1]), np.finfo(float).tiny)
-    return bool(np.all(np.abs(np.diff(recent)) / denom < tol))
 
 
 def run_gibbs(
@@ -318,17 +315,9 @@ def run_gibbs(
     hp: Hyperparameters,
     rng: np.random.Generator,
     probe_positions: list[tuple[int, int]] | None = None,
-    early_stop: bool = False,
-    early_stop_tol: float = 1e-6,
-    early_stop_window: int = 20,
     debug_checks: bool = False,
 ) -> tuple[IdState, GibbsTrace]:
-    """Run the standard sampler and return the final state plus its trace.
-
-    Early stopping (off by default) ends the run once the relative MSE
-    change stays below ``early_stop_tol`` for ``early_stop_window``
-    consecutive iterations.
-    """
+    """Run the standard sampler and return the final state plus its trace."""
     _check_data(data)
     state = init_state(data, hp, rng)
     n = data.shape[1]
@@ -336,26 +325,24 @@ def run_gibbs(
     rec = _TraceRecorder(hp.iterations, probes)
     obs_count = int(data.mask.sum())
 
-    resid = data.values - state.x @ state.y
+    resid = residual(data.values, state.y, state.r)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(float(np.sum(resid**2)), data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
         resid = _sweep_weights(
-            data.values, state.x, state.y, state.sigma2,
+            data.values, state.y, state.sigma2,
             state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
         )
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
-        if sample_state_vector(state, data, hp, rng, resid=resid, debug_checks=debug_checks):
+        if sample_state_vector(state, data, rng, resid=resid, debug_checks=debug_checks):
             rec.swaps += 1
         rec.record(resid, data.mask, obs_count, state)
         if debug_checks:
             validate_state(state, data, hp)
-            fresh = data.values - state.x @ state.y
+            fresh = residual(data.values, state.y, state.r)
             if not np.allclose(resid, fresh, atol=1e-8):
                 raise NumericalError("maintained residual drifted from recomputation")
-        if early_stop and _plateaued(rec.mse, rec.count - 1, early_stop_tol, early_stop_window):
-            break
     return state, rec.finish()
 
 
@@ -366,15 +353,11 @@ def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyper
 
 def _propose_swap_vector(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """A copy of r with one uniform (active j, inactive i) pair swapped."""
-    active = np.flatnonzero(r == 1)
-    inactive = np.flatnonzero(r == 0)
     out = r.copy()
-    if inactive.size == 0:
-        return out
-    j = int(active[rng.integers(active.size)])
-    i = int(inactive[rng.integers(inactive.size)])
-    out[j] = 0
-    out[i] = 1
+    pair = _draw_swap_pair(r, rng)
+    if pair is not None:
+        out[pair[0]] = 0
+        out[pair[1]] = 1
     return out
 
 
@@ -383,9 +366,6 @@ def run_gibbs_aggressive(
     hp: Hyperparameters,
     rng: np.random.Generator,
     probe_positions: list[tuple[int, int]] | None = None,
-    early_stop: bool = False,
-    early_stop_tol: float = 1e-6,
-    early_stop_window: int = 20,
     debug_checks: bool = False,
 ) -> tuple[IdState, GibbsTrace]:
     """Run the aggressive sampler (gbt variant only).
@@ -402,43 +382,37 @@ def run_gibbs_aggressive(
         raise ConfigurationError("the aggressive sampler supports only the gbt variant")
     _check_data(data)
     state = init_state(data, hp, rng)
-    m, n = data.shape
+    n = data.shape[1]
     probes = probe_positions if probe_positions is not None else _choose_probes(n, rng)
     rec = _TraceRecorder(hp.iterations, probes)
     obs_count = int(data.mask.sum())
 
     r2 = _propose_swap_vector(state.r, rng)
-    x2 = np.zeros_like(state.x)
-    rebuild_x(x2, data.values, r2)
     has_proposal = hp.k < n
 
-    resid = data.values - state.x @ state.y
+    resid = residual(data.values, state.y, state.r)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(float(np.sum(resid**2)), data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
 
         y2 = state.y.copy()
         resid = _sweep_weights(
-            data.values, state.x, state.y, state.sigma2,
+            data.values, state.y, state.sigma2,
             state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
         )
         if has_proposal:
             resid2 = _sweep_weights(
-                data.values, x2, y2, state.sigma2,
+                data.values, y2, state.sigma2,
                 state.gtn_mu, state.gtn_tau, hp.a, hp.b, r2, rng,
             )
             diff = float(np.sum(resid2**2)) - float(np.sum(resid**2))
             log_odds = float(np.clip(-diff / (2.0 * state.sigma2), -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
             if rng.uniform() < _sigmoid(log_odds):
-                state.r, state.x, state.y = r2, x2, y2
+                state.r, state.y = r2, y2
                 resid = resid2
                 rec.swaps += 1
             r2 = _propose_swap_vector(state.r, rng)
-            x2 = np.zeros((m, n))
-            rebuild_x(x2, data.values, r2)
         rec.record(resid, data.mask, obs_count, state)
         if debug_checks:
             validate_state(state, data, hp)
-        if early_stop and _plateaued(rec.mse, rec.count - 1, early_stop_tol, early_stop_window):
-            break
     return state, rec.finish()

@@ -86,16 +86,20 @@ def _gbtn_frozen(seed):
     return frozen_state(m, n, k, rng, variant="gbtn")
 
 
+def _x(state, data, i, k):
+    return data.values[i, k] if state.r[k] == 1 else 0.0
+
+
 def _entry_params_oracle(state, data, k, l):
     m, n = data.shape
-    tau = sum(state.x[i, k] ** 2 for i in range(m)) / state.sigma2 + state.gtn_tau[k, l]
+    tau = sum(_x(state, data, i, k) ** 2 for i in range(m)) / state.sigma2 + state.gtn_tau[k, l]
     acc = 0.0
     for i in range(m):
         partial = data.values[i, l]
         for j in range(n):
             if j != k:
-                partial -= state.x[i, j] * state.y[j, l]
-        acc += state.x[i, k] * partial
+                partial -= _x(state, data, i, j) * state.y[j, l]
+        acc += _x(state, data, i, k) * partial
     mu = (acc / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau
     return mu, tau
 
@@ -105,7 +109,7 @@ def _rss_oracle(state, data):
     total = 0.0
     for i in range(m):
         for j in range(n):
-            pred = sum(state.x[i, q] * state.y[q, j] for q in range(n))
+            pred = sum(_x(state, data, i, q) * state.y[q, j] for q in range(n))
             total += (data.values[i, j] - pred) ** 2
     return total
 

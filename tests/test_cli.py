@@ -155,6 +155,29 @@ class TestErrorExits:
             assert main(argv) == 2, argv
             assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--iterations", "0"],
+        ["--iterations", "5", "--burn-in", "5"],
+        ["--thinning", "0"],
+    ])
+    def test_sampler_flags_checked_before_input_is_read(self, tmp_path, capsys, flags):
+        src = _synth(tmp_path)
+        absent = tmp_path / "absent.csv"
+        cases = [
+            ["decompose", str(src), "--method", "rid"],
+            ["decompose", str(src)],
+            ["benchmark", str(src)],
+            # an input that would fail to load shows the check comes first
+            ["decompose", str(absent), "--method", "rid"],
+            ["benchmark", str(absent)],
+        ]
+        for case, argv in enumerate(cases):
+            out = tmp_path / f"o{case}"
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out), "--k", "2", *flags]) == 2, argv
+            assert capsys.readouterr().err.startswith("error: config: "), argv
+            assert not out.exists(), argv
+
     def test_missing_input_exits_3(self, tmp_path):
         assert main([
             "decompose", str(tmp_path / "absent.csv"), str(tmp_path / "o"), "--k", "2",

@@ -222,10 +222,16 @@ class TestBuildRunReport:
         assert report.mixing == "degenerate"
 
     def test_early_stopped_run_shorter_than_burn_in(self):
-        rng = np.random.default_rng(7)
-        data = ObservedMatrix.fully_observed(rng.normal(size=(6, 5)))
-        hp = Hyperparameters(k=2, iterations=300, burn_in=250, thinning=5)
-        _, trace = run_gibbs(data, hp, rng, early_stop=True, early_stop_tol=0.9, early_stop_window=3)
-        report = build_run_report(trace, hp.burn_in, hp.thinning)
-        assert report.iterations == trace.mse_per_iter.size
-        assert np.isfinite(report.mse_posterior_mean)
+        # a hand-built trace of 12 iterations read against a burn-in of 250
+        mse_chain, obs, sigma2, p0, p1 = np.random.default_rng(7).uniform(0.1, 1.0, size=(5, 12))
+        trace = GibbsTrace(
+            mse_per_iter=mse_chain,
+            mse_observed_per_iter=obs,
+            sigma2_chain=sigma2,
+            y_entry_chains={(0, 0): p0, (1, 2): p1},
+            accepted_swaps=0,
+        )
+        report = build_run_report(trace, 250, 5)
+        assert report.iterations == 12
+        assert report.mse_posterior_mean == trace.mse_per_iter[-1]
+        assert all(rho is None for rho in report.autocorrelations.values())

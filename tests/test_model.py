@@ -11,7 +11,6 @@ from bayesid.model import (
     Hyperparameters,
     ObservedMatrix,
     init_state,
-    rebuild_x,
     validate_state,
 )
 
@@ -86,7 +85,7 @@ class TestInitState:
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 4)))
         state = init_state(data, Hyperparameters(k=4), rng)
         assert state.r.sum() == 4
-        npt.assert_array_equal(state.x, data.values)
+        npt.assert_array_equal(state.basis_indices, np.arange(4))
         assert state.interpolated_indices.size == 0
 
     def test_k_one_of_three(self):
@@ -94,8 +93,7 @@ class TestInitState:
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 3)))
         state = init_state(data, Hyperparameters(k=1), rng)
         assert state.r.sum() == 1
-        zero_cols = np.flatnonzero(~state.x.any(axis=0))
-        assert zero_cols.size == 2
+        assert state.interpolated_indices.size == 2
 
     def test_k_exceeding_columns_raises(self):
         data = ObservedMatrix.fully_observed(np.ones((3, 2)))
@@ -108,7 +106,6 @@ class TestInitState:
         s1 = init_state(data, hp, np.random.default_rng(42))
         s2 = init_state(data, hp, np.random.default_rng(42))
         npt.assert_array_equal(s1.r, s2.r)
-        npt.assert_array_equal(s1.x, s2.x)
         npt.assert_array_equal(s1.y, s2.y)
         npt.assert_array_equal(s1.gtn_mu, s2.gtn_mu)
         npt.assert_array_equal(s1.gtn_tau, s2.gtn_tau)
@@ -141,6 +138,15 @@ class TestInitState:
         for _ in range(50):
             state = init_state(data, Hyperparameters(k=1), rng)
             assert state.sigma2 >= 1e-6
+
+    def test_state_size_does_not_grow_with_rows(self):
+        def state_bytes(m):
+            rng = np.random.default_rng(14)
+            data = ObservedMatrix.fully_observed(rng.normal(size=(m, 6)))
+            state = init_state(data, Hyperparameters(k=3), rng)
+            return sum(v.nbytes for v in vars(state).values() if isinstance(v, np.ndarray))
+
+        assert state_bytes(10) == state_bytes(1000)
 
     def test_index_properties_partition(self):
         rng = np.random.default_rng(13)
@@ -192,15 +198,6 @@ class TestDominantStart:
 
 
 class TestRebuildAndValidate:
-    def test_rebuild_x(self):
-        values = np.arange(12.0).reshape(3, 4)
-        x = np.full((3, 4), -1.0)
-        r = np.array([1, 0, 0, 1], dtype=np.int8)
-        rebuild_x(x, values, r)
-        npt.assert_array_equal(x[:, 0], values[:, 0])
-        npt.assert_array_equal(x[:, 3], values[:, 3])
-        assert np.all(x[:, 1] == 0.0) and np.all(x[:, 2] == 0.0)
-
     def _valid(self):
         rng = np.random.default_rng(21)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 3)))
@@ -214,13 +211,6 @@ class TestRebuildAndValidate:
     def test_validate_catches_wrong_count(self):
         data, hp, state = self._valid()
         state.r[:] = 1
-        state.x[:] = data.values
-        with pytest.raises(ValueError):
-            validate_state(state, data, hp)
-
-    def test_validate_catches_stale_x(self):
-        data, hp, state = self._valid()
-        state.x[0, state.basis_indices[0]] += 1.0
         with pytest.raises(ValueError):
             validate_state(state, data, hp)
 

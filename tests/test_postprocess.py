@@ -57,7 +57,8 @@ class TestExtractCanonical:
             k = int(rng.integers(1, n + 1))
             data, hp, state = frozen_state(m, n, k, rng)
             res = extract_canonical(state, data)
-            before = mse(data.values, state.x, state.y)
+            j = state.basis_indices
+            before = mse(data.values, data.values[:, j], state.y[j])
             after = mse(data.values, res.c, res.w)
             assert after <= before + 1e-15
 

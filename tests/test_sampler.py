@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from bayesid.errors import ConfigurationError, InputError
-from bayesid.model import Hyperparameters, IdState, ObservedMatrix, init_state
+from bayesid.model import Hyperparameters, IdState, ObservedMatrix, init_state, residual
 from bayesid.sampler import (
     noise_variance_params,
     run_gibbs,
@@ -31,20 +31,25 @@ from bayesid.sampler import (
 from _instances import duplicated_id_matrix, frozen_state
 
 
+def _x(state, data, i, k):
+    """Entry (i, k) of the zero-padded basis: the data where column k is active."""
+    return data.values[i, k] if state.r[k] == 1 else 0.0
+
+
 def _entry_params_oracle(state, data, k, l):
     """Posterior (mean, precision) of y[k, l] by direct index-by-index sums."""
     m, n = data.shape
     s = 0.0
     for i in range(m):
-        s += state.x[i, k] ** 2
+        s += _x(state, data, i, k) ** 2
     tau = s / state.sigma2 + state.gtn_tau[k, l]
     acc = 0.0
     for i in range(m):
         partial = data.values[i, l]
         for j in range(n):
             if j != k:
-                partial -= state.x[i, j] * state.y[j, l]
-        acc += state.x[i, k] * partial
+                partial -= _x(state, data, i, j) * state.y[j, l]
+        acc += _x(state, data, i, k) * partial
     mu = (acc / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau
     return mu, tau
 
@@ -56,7 +61,7 @@ def _rss_oracle(state, data):
         for j in range(n):
             pred = 0.0
             for k in range(n):
-                pred += state.x[i, k] * state.y[k, j]
+                pred += _x(state, data, i, k) * state.y[k, j]
             total += (data.values[i, j] - pred) ** 2
     return total
 
@@ -66,7 +71,6 @@ class TestWeightEntryParams:
         # one row, one active column with value 2, target entry 1, unit noise
         data = ObservedMatrix.fully_observed(np.array([[2.0, 1.0]]))
         state = IdState(
-            x=np.array([[2.0, 0.0]]),
             y=np.zeros((2, 2)),
             r=np.array([1, 0], dtype=np.int8),
             sigma2=1.0,
@@ -112,7 +116,6 @@ class TestNoiseVariance:
         values = np.array([[0.3, -0.2], [0.1, 0.4]])
         data = ObservedMatrix.fully_observed(values)
         state = IdState(
-            x=values.copy(),
             y=np.eye(2),
             r=np.array([1, 1], dtype=np.int8),
             sigma2=1.0,
@@ -202,9 +205,8 @@ def _symmetric_state(m=6, n=4, k=2, seed=137):
     y = np.tile(row, (n, 1))
     r = np.zeros(n, dtype=np.int8)
     r[:k] = 1
-    x = np.where(r[None, :] == 1, values, 0.0)
     data = ObservedMatrix.fully_observed(values)
-    state = IdState(x=x, y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((n, n)), gtn_tau=np.ones((n, n)))
+    state = IdState(y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((n, n)), gtn_tau=np.ones((n, n)))
     return data, state
 
 
@@ -218,9 +220,8 @@ def _exact_state(seed=139):
     y[0, :] = [1.0, 0.0, 0.6, -0.5]
     y[1, :] = [0.0, 1.0, -0.3, 0.8]
     r = np.array([1, 0, 1, 0], dtype=np.int8)
-    x = np.where(r[None, :] == 1, values, 0.0)
     data = ObservedMatrix.fully_observed(values)
-    state = IdState(x=x, y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((4, 4)), gtn_tau=np.ones((4, 4)))
+    state = IdState(y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((4, 4)), gtn_tau=np.ones((4, 4)))
     return data, state
 
 
@@ -235,7 +236,7 @@ class TestStateSwap:
         accepted = 0
         trials = 10_000
         for _ in range(trials):
-            if sample_state_vector(state, data, Hyperparameters(k=2), rng):
+            if sample_state_vector(state, data, rng):
                 accepted += 1
             assert state.r.sum() == 2
         assert abs(accepted / trials - 0.5) <= 0.02
@@ -249,8 +250,6 @@ class TestStateSwap:
         data, state = _exact_state()
         # move to the exact configuration first, then propose breaking it
         state.r[:] = [1, 1, 0, 0]
-        state.x[:, 1] = data.values[:, 1]
-        state.x[:, 2] = 0.0
         assert state_swap_log_odds(state, data, 1, 2) < -5.0
 
     def test_log_odds_clamped_at_saturation(self):
@@ -258,8 +257,6 @@ class TestStateSwap:
         state.sigma2 = 1e-9
         assert state_swap_log_odds(state, data, 2, 1) == 700.0
         state.r[:] = [1, 1, 0, 0]
-        state.x[:, 1] = data.values[:, 1]
-        state.x[:, 2] = 0.0
         assert state_swap_log_odds(state, data, 1, 2) == -700.0
 
     def test_incremental_agrees_with_full_recompute(self):
@@ -279,7 +276,7 @@ class TestStateSwap:
         rng = np.random.default_rng(157)
         data, hp, state = frozen_state(6, 5, 2, rng)
         for _ in range(30):
-            sample_state_vector(state, data, hp, rng, debug_checks=True)
+            sample_state_vector(state, data, rng, debug_checks=True)
 
     def test_swap_requires_valid_pair(self):
         data, state = _exact_state()
@@ -290,16 +287,16 @@ class TestStateSwap:
         rng = np.random.default_rng(163)
         data, hp, state = frozen_state(4, 3, 3, rng)
         r_before = state.r.copy()
-        assert sample_state_vector(state, data, hp, rng) is False
+        assert sample_state_vector(state, data, rng) is False
         npt.assert_array_equal(state.r, r_before)
 
     def test_maintained_residual_stays_current(self):
         rng = np.random.default_rng(167)
         data, hp, state = frozen_state(6, 5, 2, rng)
-        resid = data.values - state.x @ state.y
+        resid = residual(data.values, state.y, state.r)
         for _ in range(60):
-            sample_state_vector(state, data, hp, rng, resid=resid)
-        npt.assert_allclose(resid, data.values - state.x @ state.y, atol=1e-10)
+            sample_state_vector(state, data, rng, resid=resid)
+        npt.assert_allclose(resid, residual(data.values, state.y, state.r), atol=1e-10)
 
 
 class TestRunGibbs:
@@ -344,16 +341,6 @@ class TestRunGibbs:
         _, t_aggr = run_gibbs_aggressive(data, hp, np.random.default_rng(6))
         npt.assert_array_equal(t_plain.mse_per_iter, t_aggr.mse_per_iter)
         npt.assert_array_equal(t_plain.sigma2_chain, t_aggr.sigma2_chain)
-
-    def test_early_stop_cuts_run_short(self):
-        rng = np.random.default_rng(193)
-        data = ObservedMatrix.fully_observed(rng.normal(size=(8, 6)))
-        hp = Hyperparameters(k=2, iterations=400, burn_in=10, thinning=2)
-        state, trace = run_gibbs(
-            data, hp, rng, early_stop=True, early_stop_tol=0.5, early_stop_window=5
-        )
-        assert trace.mse_per_iter.size < 400
-        assert trace.sigma2_chain.size == trace.mse_per_iter.size
 
     @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
     def test_debug_mode_validates_every_iteration(self, runner):
