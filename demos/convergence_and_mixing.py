@@ -1,8 +1,9 @@
 """Reading a run's trace: plateau detection and probe autocorrelation.
 
 Runs the sampler on a noisy instance, writes the trace next to the other
-artifacts, and then computes the same statistics the `bayesid diagnose`
-command derives from a trace.csv on disk.
+artifacts, and summarizes it with build_run_report. `bayesid diagnose`
+reads that trace.csv back and calls the same function, so it prints the
+same plateau and mixing numbers.
 """
 
 import argparse
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bayesid.diagnostics import build_run_report, iterations_to_plateau
+from bayesid.diagnostics import build_run_report
 from bayesid.io import write_trace_csv
 from bayesid.model import Hyperparameters, ObservedMatrix
 from bayesid.sampler import run_gibbs
@@ -41,12 +42,11 @@ def main():
     write_trace_csv(out_dir / "trace.csv", trace)
 
     report = build_run_report(trace, hp.burn_in, hp.thinning)
-    plateau = iterations_to_plateau(trace.mse_per_iter)
     print(f"trace written to {out_dir / 'trace.csv'}")
     print(f"iterations          {report.iterations}")
     print(f"final mse           {report.mse_final:.5f}")
     print(f"posterior mean mse  {report.mse_posterior_mean:.5f}")
-    print(f"plateau reached at  iteration {plateau}")
+    print(f"plateau reached at  iteration {report.iterations_to_plateau}")
     print(f"accepted swaps      {report.accepted_swaps}")
     print(f"mixing verdict      {report.mixing}")
     print()

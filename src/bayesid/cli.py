@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration problem, 3 input problem,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -21,21 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import (
-    build_run_report,
-    iterations_to_plateau,
-    kept_iterations,
-    mixing_verdict,
-    probe_autocorrelations,
-)
+from .diagnostics import build_run_report, kept_iterations
 from .errors import BayesidError, ConfigurationError, InputError, NumericalError
 from .io import (
     PreprocessConfig,
     load_matrix,
+    open_output,
     preprocess,
     read_trace_csv,
     save_matrix,
     save_result,
+    write_csv,
+    write_json,
     write_trace_csv,
 )
 from .model import Hyperparameters, ObservedMatrix
@@ -284,33 +280,19 @@ def cmd_benchmark(args) -> int:
                     cell["mse_observed"] = float(np.mean(trace.mse_observed_per_iter[keep]))
                 status = "ok"
             except BayesidError as exc:
-                cell = dict.fromkeys(_CELL_KEYS, "")
+                cell = dict.fromkeys(_CELL_KEYS)
                 status = f"{_category(exc)[1]}: {exc}"
-            timings.append((k, method, time.perf_counter() - started))
-            rows.append({"k": k, "method": method, **cell, "status": status})
+            timings.append([k, method, f"{time.perf_counter() - started:.3f}"])
+            rows.append([k, method, *(cell[key] for key in _CELL_KEYS), status])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "benchmark.csv", "w") as fh:
-        cols = ["k", "method", *_CELL_KEYS, "status"]
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in cols) + "\n")
+    write_csv(out_dir / "benchmark.csv", [["k", "method", *_CELL_KEYS, "status"], *rows])
     # wall times are inherently nondeterministic, so they live apart from
     # the reproducible artifacts
-    with open(out_dir / "timings.csv", "w") as fh:
-        fh.write("k,method,seconds\n")
-        for k, method, seconds in timings:
-            fh.write(f"{k},{method},{seconds:.3f}\n")
-    for row in rows:
-        loss = row["mse"] if row["mse"] == "" else f"{row['mse']:.6g}"
-        print(f"k={row['k']} method={row['method']} mse={loss} status={row['status']}")
+    write_csv(out_dir / "timings.csv", [["k", "method", "seconds"], *timings])
+    for k, method, loss, *_, status in rows:
+        loss = "" if loss is None else f"{loss:.6g}"
+        print(f"k={k} method={method} mse={loss} status={status}")
     return 0
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
 
 
 def cmd_synth(args) -> int:
@@ -328,9 +310,7 @@ def cmd_synth(args) -> int:
     full = np.concatenate([full, full], axis=1)
     if args.noise > 0:
         full = full + rng.normal(0.0, args.noise, size=full.shape)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = args.out
     save_matrix(out, ObservedMatrix.fully_observed(full))
     truth = {
         "rows": m,
@@ -343,9 +323,7 @@ def cmd_synth(args) -> int:
         "seed": args.seed,
     }
     truth_path = out.with_name(out.name + ".truth.json")
-    with open(truth_path, "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, truth)
     print(f"wrote {out} ({m} x {2 * n}) and {truth_path}")
     return 0
 
@@ -355,21 +333,16 @@ def cmd_diagnose(args) -> int:
         raise ConfigurationError(f"--burn-in must be nonnegative, got {args.burn_in}")
     if args.max_lag < 1:
         raise ConfigurationError(f"--max-lag must be at least 1, got {args.max_lag}")
-    trace = read_trace_csv(args.trace)
-    iters = trace["mse"].size
-    plateau = iterations_to_plateau(trace["mse"])
-
-    autocorrs = probe_autocorrelations(trace["probes"], args.burn_in, args.max_lag)
-    verdict = mixing_verdict(autocorrs)
-
+    report = build_run_report(read_trace_csv(args.trace), args.burn_in, 1, args.max_lag)
+    plateau = report.iterations_to_plateau
     lines = [
-        f"iterations={iters}",
-        f"mse_final={trace['mse'][-1]:.17g}",
+        f"iterations={report.iterations}",
+        f"mse_final={report.mse_final:.17g}",
         f"iterations_to_plateau={plateau if plateau is not None else 'none'}",
-        f"mixing={verdict}",
+        f"mixing={report.mixing}",
     ]
-    for pos, rho in sorted(autocorrs.items()):
-        name = f"y_r{pos[0]}_c{pos[1]}"
+    probes = {f"y_r{k}_c{l}": rho for (k, l), rho in sorted(report.autocorrelations.items())}
+    for name, rho in probes.items():
         if rho is None:
             lines.append(f"probe_{name}=degenerate")
         else:
@@ -378,20 +351,15 @@ def cmd_diagnose(args) -> int:
             lines.append(f"probe_{name}=max_abs_autocorr_beyond_lag10:{worst:.17g}")
 
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.txt", "w") as fh:
+        with open_output(args.out / "report.txt") as fh:
             fh.write("\n".join(lines) + "\n")
-        max_len = max((rho.size for rho in autocorrs.values() if rho is not None), default=0)
-        with open(out / "autocorrelation.csv", "w") as fh:
-            names = [f"y_r{p[0]}_c{p[1]}" for p in sorted(autocorrs)]
-            fh.write("lag," + ",".join(names) + "\n")
-            for lag in range(max_len):
-                cells = []
-                for pos in sorted(autocorrs):
-                    rho = autocorrs[pos]
-                    cells.append("%.17g" % rho[lag] if rho is not None and lag < rho.size else "")
-                fh.write(f"{lag}," + ",".join(cells) + "\n")
+        # every kept chain has the same length, so every defined rho has the same lags
+        lags = max((rho.size for rho in probes.values() if rho is not None), default=0)
+        write_csv(args.out / "autocorrelation.csv", [
+            ["lag", *probes],
+            *([lag, *(None if rho is None else rho[lag] for rho in probes.values())]
+              for lag in range(lags)),
+        ])
     for line in lines:
         print(line)
     return 0

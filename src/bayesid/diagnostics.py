@@ -117,7 +117,7 @@ class RunReport:
     mse_observed_final: float
     mse_posterior_mean: float
     sigma2_final: float
-    accepted_swaps: int
+    accepted_swaps: int | None  # None for a trace read back from a file
     iterations_to_plateau: int | None
     # per probe position: autocorrelation array, or None for a degenerate chain
     autocorrelations: dict[tuple[int, int], np.ndarray | None]
@@ -140,33 +140,27 @@ def mixing_verdict(autocorrelations: dict) -> str:
     return "good"
 
 
-def probe_autocorrelations(chains: dict, burn_in: int, max_lag: int) -> dict:
-    """Autocorrelation of each probe chain past burn-in; None for a degenerate chain.
+def build_run_report(
+    trace: GibbsTrace, burn_in: int, thinning: int, max_lag: int = 20
+) -> RunReport:
+    """Summarize a trace: final and averaged losses, probe mixing, plateau.
 
-    The post-burn-in portion is used because the transient would otherwise
-    dominate every coefficient. A chain that ends inside the burn-in (a
-    saved trace read with a larger ``diagnose --burn-in``) keeps its last
-    value, and the lag range shrinks if the kept chain is short.
+    Probe autocorrelations use the post-burn-in portion of each chain,
+    because the transient would otherwise dominate every coefficient; a
+    degenerate chain gets None. A trace that ends inside the burn-in (a
+    saved trace read by ``diagnose`` with a larger ``--burn-in``) keeps its
+    last iteration, and the lag range shrinks if the kept chain is short.
     """
+    iters = trace.mse_per_iter.size
+    burn_eff = min(burn_in, iters - 1)
     autocorrs: dict[tuple[int, int], np.ndarray | None] = {}
-    for pos, chain in chains.items():
-        kept = chain[min(burn_in, chain.size - 1):]
+    for pos, chain in trace.y_entry_chains.items():
+        kept = chain[burn_eff:]
         lag = min(max_lag, kept.size - 1)
         try:
             autocorrs[pos] = autocorrelation(kept, lag) if lag >= 1 else None
         except DegenerateChainError:
             autocorrs[pos] = None
-    return autocorrs
-
-
-def build_run_report(
-    trace: GibbsTrace, burn_in: int, thinning: int, max_lag: int = 20
-) -> RunReport:
-    """Summarize a trace: final and averaged losses, probe mixing, plateau."""
-    iters = trace.mse_per_iter.size
-    # a trace can end inside the burn-in it is read with
-    burn_eff = min(burn_in, iters - 1)
-    autocorrs = probe_autocorrelations(trace.y_entry_chains, burn_in, max_lag)
     return RunReport(
         iterations=iters,
         mse_final=float(trace.mse_per_iter[-1]),

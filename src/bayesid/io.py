@@ -1,10 +1,17 @@
-"""Matrix file formats, preprocessing, and result output.
+"""Every file the package reads or writes, plus preprocessing.
 
-Two on-disk formats are supported. CSV holds a dense matrix, one row per
+Files are opened only through ``open_input`` and ``open_output``. Input is
+read as UTF-8; a file that is missing, is a directory, cannot be read or
+does not decode raises InputError. An output that cannot be created
+raises ConfigurationError.
+
+Two matrix formats are supported. CSV holds a dense matrix, one row per
 line, where an empty field marks an unobserved entry. MatrixMarket
 coordinate files list observed entries with 1-based indices; everything
-not listed is unobserved. Floats are written with 17 significant digits,
-so a save/load round trip is exact.
+not listed is unobserved. Every CSV goes through ``write_csv``: the csv
+module's default dialect (RFC 4180 quoting where needed, CRLF line ends),
+floats with 17 significant digits so a save/load round trip is exact, and
+None as an empty field. JSON goes through ``write_json`` with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,18 +19,81 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, ParseError
 from .model import ObservedMatrix
+from .sampler import GibbsTrace
 
 FORMAT_CSV = "csv"
 FORMAT_MATRIX_MARKET = "matrix_market"
 
 _FLOAT_FMT = "%.17g"
+_TRACE_BASE = ["iteration", "mse", "mse_observed", "sigma2"]
+
+
+@contextmanager
+def open_input(path):
+    """Open a UTF-8 text file for reading; an unusable file raises InputError."""
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _csv_rows(path, skip: int = 0):
+    """Yield (1-based line number, fields) for each row after the first ``skip``.
+
+    Every yielded row must have as many fields as the first one.
+    """
+    width = None
+    with open_input(path) as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if line_no <= skip:
+                continue
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"expected {width} fields, found {len(row)}", line=line_no)
+            yield line_no, row
+
+
+@contextmanager
+def open_output(path):
+    """Open a file for writing, creating its directory; failure raises ConfigurationError."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+    with fh:
+        yield fh
+
+
+def write_csv(path, rows) -> None:
+    """Write an iterable of rows; floats get 17 significant digits and None an empty field."""
+    with open_output(path) as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys, so equal objects give equal bytes."""
+    with open_output(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:
@@ -42,8 +112,6 @@ def load_matrix(path, fmt: str | None = None, has_header: bool = False) -> Obser
     raise ParseError carrying the 1-based line (and field) location.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     if _detect_format(path, fmt) == FORMAT_CSV:
         return _load_csv(path, has_header)
     return _load_matrix_market(path)
@@ -52,42 +120,33 @@ def load_matrix(path, fmt: str | None = None, has_header: bool = False) -> Obser
 def _load_csv(path: Path, has_header: bool) -> ObservedMatrix:
     rows: list[list[float]] = []
     mask_rows: list[list[bool]] = []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
+    for line_no, row in _csv_rows(path, skip=1 if has_header else 0):
+        if not row:
+            raise ParseError("empty row", line=line_no)
+        vals, obs = [], []
+        for col_no, field in enumerate(row, start=1):
+            field = field.strip()
+            if field == "":
+                vals.append(0.0)
+                obs.append(False)
                 continue
-            if width is None:
-                width = len(row)
-                if width == 0:
-                    raise ParseError("empty row", line=line_no)
-            elif len(row) != width:
-                raise ParseError(f"expected {width} fields, found {len(row)}", line=line_no)
-            vals, obs = [], []
-            for col_no, field in enumerate(row, start=1):
-                field = field.strip()
-                if field == "":
-                    vals.append(0.0)
-                    obs.append(False)
-                    continue
-                try:
-                    v = float(field)
-                except ValueError:
-                    raise ParseError(f"not a number: {field!r}", line=line_no, column=col_no) from None
-                if not math.isfinite(v):
-                    raise ParseError(f"non-finite value {field!r}", line=line_no, column=col_no)
-                vals.append(v)
-                obs.append(True)
-            rows.append(vals)
-            mask_rows.append(obs)
+            try:
+                v = float(field)
+            except ValueError:
+                raise ParseError(f"not a number: {field!r}", line=line_no, column=col_no) from None
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {field!r}", line=line_no, column=col_no)
+            vals.append(v)
+            obs.append(True)
+        rows.append(vals)
+        mask_rows.append(obs)
     if not rows:
         raise ParseError("file contains no data rows", line=1)
     return ObservedMatrix(values=np.array(rows, dtype=float), mask=np.array(mask_rows, dtype=bool))
 
 
 def _load_matrix_market(path: Path) -> ObservedMatrix:
-    with open(path) as fh:
+    with open_input(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", line=1)
@@ -139,14 +198,12 @@ def save_matrix(path, data: ObservedMatrix, fmt: str | None = None) -> None:
     """Write an ObservedMatrix; the format round-trips through load_matrix."""
     path = Path(path)
     if _detect_format(path, fmt) == FORMAT_CSV:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for vals, obs in zip(data.values, data.mask):
-                writer.writerow([_FLOAT_FMT % v if o else "" for v, o in zip(vals, obs)])
+        write_csv(path, ([v if o else None for v, o in zip(vals.tolist(), obs.tolist())]
+                         for vals, obs in zip(data.values, data.mask)))
     else:
         m, n = data.shape
         rows, cols = np.nonzero(data.mask)
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             fh.write("%%MatrixMarket matrix coordinate real general\n")
             fh.write(f"{m} {n} {rows.size}\n")
             for i, j in zip(rows, cols):
@@ -224,74 +281,51 @@ def preprocess(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:
 def save_result(out_dir, c: np.ndarray, w: np.ndarray, metadata: dict) -> None:
     """Write C.csv, W.csv and metadata.json into out_dir (created if needed)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / "C.csv", ObservedMatrix.fully_observed(c))
     save_matrix(out / "W.csv", ObservedMatrix.fully_observed(w))
-    with open(out / "metadata.json", "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metadata.json", metadata)
 
 
-def write_trace_csv(path, trace) -> None:
+def write_trace_csv(path, trace: GibbsTrace) -> None:
     """Per-iteration series as CSV: losses, noise variance, probe chains."""
-    headers = ["iteration", "mse", "mse_observed", "sigma2"]
     probe_keys = sorted(trace.y_entry_chains)
-    headers += [f"y_r{k}_c{l}" for k, l in probe_keys]
-    chains = [trace.y_entry_chains[key] for key in probe_keys]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for t in range(trace.mse_per_iter.size):
-            row = [
-                str(t + 1),
-                _FLOAT_FMT % trace.mse_per_iter[t],
-                _FLOAT_FMT % trace.mse_observed_per_iter[t],
-                _FLOAT_FMT % trace.sigma2_chain[t],
-            ]
-            row += [_FLOAT_FMT % chain[t] for chain in chains]
-            writer.writerow(row)
+    columns = [trace.mse_per_iter, trace.mse_observed_per_iter, trace.sigma2_chain]
+    columns += [trace.y_entry_chains[key] for key in probe_keys]
+    header = _TRACE_BASE + [f"y_r{k}_c{l}" for k, l in probe_keys]
+    rows = zip(range(1, trace.mse_per_iter.size + 1), *(col.tolist() for col in columns))
+    write_csv(path, [header, *rows])
 
 
-def read_trace_csv(path) -> dict:
-    """Read a trace CSV back into arrays.
+def read_trace_csv(path) -> GibbsTrace:
+    """Read back the GibbsTrace that write_trace_csv wrote.
 
-    Returns a dict with keys "iteration", "mse", "mse_observed", "sigma2",
-    and "probes" (a mapping of (row, col) to chain arrays).
+    The file does not record swaps, so ``accepted_swaps`` is None.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    header = next(rows, (None, None))[1]
+    if header is None:
+        raise ParseError("empty trace file", line=1)
+    if header[: len(_TRACE_BASE)] != _TRACE_BASE:
+        raise ParseError(f"unexpected trace header {header[:4]!r}", line=1)
+    probes = []
+    for name in header[len(_TRACE_BASE) :]:
+        m = name.removeprefix("y_r").split("_c")
+        if len(m) != 2 or not all(p.isdigit() for p in m) or not name.startswith("y_r"):
+            raise ParseError(f"unexpected probe column {name!r}", line=1)
+        probes.append((int(m[0]), int(m[1])))
+    values = []
+    for line_no, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty trace file", line=1) from None
-        base = ["iteration", "mse", "mse_observed", "sigma2"]
-        if header[: len(base)] != base:
-            raise ParseError(f"unexpected trace header {header[:4]!r}", line=1)
-        probes = []
-        for name in header[len(base) :]:
-            m = name.removeprefix("y_r").split("_c")
-            if len(m) != 2 or not all(p.isdigit() for p in m) or not name.startswith("y_r"):
-                raise ParseError(f"unexpected probe column {name!r}", line=1)
-            probes.append((int(m[0]), int(m[1])))
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, found {len(row)}", line=line_no)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ParseError(f"bad trace row {row!r}", line=line_no) from None
-    if not rows:
+            values.append([float(v) for v in row])
+        except ValueError:
+            raise ParseError(f"bad trace row {row!r}", line=line_no) from None
+    if not values:
         raise ParseError("trace file has no data rows", line=1)
-    arr = np.array(rows)
-    out = {
-        "iteration": arr[:, 0].astype(int),
-        "mse": arr[:, 1],
-        "mse_observed": arr[:, 2],
-        "sigma2": arr[:, 3],
-        "probes": {pos: arr[:, 4 + p] for p, pos in enumerate(probes)},
-    }
-    return out
+    arr = np.array(values)
+    return GibbsTrace(
+        mse_per_iter=arr[:, 1],
+        mse_observed_per_iter=arr[:, 2],
+        sigma2_chain=arr[:, 3],
+        y_entry_chains={pos: arr[:, 4 + p] for p, pos in enumerate(probes)},
+        accepted_swaps=None,
+    )

@@ -46,14 +46,15 @@ class GibbsTrace:
     """Per-iteration series recorded by a sampler run.
 
     ``y_entry_chains`` maps a probed (row, column) position of Y to the
-    chain of values it took, one entry per iteration.
+    chain of values it took, one entry per iteration. ``accepted_swaps`` is
+    None for a trace read back from a file, which does not record swaps.
     """
 
     mse_per_iter: np.ndarray
     mse_observed_per_iter: np.ndarray
     sigma2_chain: np.ndarray
     y_entry_chains: dict[tuple[int, int], np.ndarray]
-    accepted_swaps: int
+    accepted_swaps: int | None
 
 
 def _sigmoid(log_odds: float) -> float:

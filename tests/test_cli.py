@@ -1,5 +1,6 @@
 """End-to-end command line behavior, exercised in process via main(argv)."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from bayesid.cli import main
-from bayesid.io import load_matrix
+from bayesid.diagnostics import build_run_report
+from bayesid.io import load_matrix, read_trace_csv
 from bayesid.linalg import cpqr, numerical_rank
 
 
@@ -195,6 +197,45 @@ class TestErrorExits:
         assert main(["diagnose", str(p), "--burn-in", "-1"]) == 2
         assert main(["diagnose", str(p), "--max-lag", "0"]) == 2
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["decompose", "{dir}", "--out", "{tmp}/o", "--k", "2"], "Is a directory"),
+        (["diagnose", "{dir}"], "Is a directory"),
+        (["decompose", "{tmp}/latin1.csv", "--out", "{tmp}/o", "--k", "2"], "not UTF-8"),
+        (["decompose", "{tmp}/latin1.mtx", "--out", "{tmp}/o", "--k", "2"], "not UTF-8"),
+        (["diagnose", "{tmp}/latin1.csv"], "not UTF-8"),
+    ], ids=["decompose-dir", "diagnose-dir", "csv-not-utf8", "mtx-not-utf8", "trace-not-utf8"])
+    def test_unreadable_input_exits_3(self, tmp_path, capsys, argv, reason):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.csv").write_bytes("1,2\n3,4\nm\u00e9,5\n".encode("latin-1"))
+        (tmp_path / "latin1.mtx").write_bytes(
+            "%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n1 1 1\n1 1 2\n".encode("latin-1")
+        )
+        argv = [a.format(tmp=tmp_path, dir=tmp_path / "dir") for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: ") and err.count("\n") == 1, err
+        assert reason in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "{src}", "--out", "{file}", "--k", "2", "--iterations", "20", "--burn-in", "2"],
+        ["decompose", "{src}", "--out", "{file}", "--k", "2", "--method", "rid"],
+        ["benchmark", "{src}", "--out", "{file}", "--k", "2", "--iterations", "20", "--burn-in", "2"],
+        ["diagnose", "{trace}", "--out", "{file}"],
+        ["synth", "--out", "{file}/m.csv", "--rows", "5", "--cols", "4", "--rank", "2"],
+    ], ids=["decompose", "decompose-rid", "benchmark", "diagnose", "synth"])
+    def test_output_under_a_file_exits_2(self, tmp_path, capsys, argv):
+        src = _synth(tmp_path)
+        trace = tmp_path / "trace.csv"
+        _write_trace(trace, np.full(30, 0.5), {(0, 0): np.linspace(0.0, 1.0, 30)})
+        file = tmp_path / "file"
+        file.write_text("keep\n")
+        argv = [a.format(src=src, trace=trace, file=file) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert file.read_text() == "keep\n"
+
 
 class TestBenchmark:
     def test_per_cell_errors_do_not_abort(self, tmp_path):
@@ -205,15 +246,17 @@ class TestBenchmark:
             "--iterations", "20", "--burn-in", "5", "--thinning", "2",
         ])
         assert code == 0
-        lines = (out / "benchmark.csv").read_text().strip().splitlines()
-        assert lines[0] == "k,method,mse,mse_observed,max_abs_w,magnitude_excess,status"
-        assert len(lines) == 5
-        cells = [line.split(",") for line in lines[1:]]
-        by_key = {(row[0], row[1]): row for row in cells}
+        with open(out / "benchmark.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", "method", "mse", "mse_observed", "max_abs_w", "magnitude_excess", "status"]
+        # an error message holding a comma stays one quoted field
+        assert [len(row) for row in rows] == [7] * 5
+        by_key = {(row[0], row[1]): row for row in rows[1:]}
         assert by_key[("2", "gbt")][-1] == "ok"
         assert float(by_key[("2", "gbt")][5]) == 0.0  # weights stay bounded
         assert by_key[("999", "gbt")][2] == ""  # failed cell keeps numerics empty
-        assert "config" in ",".join(by_key[("999", "gbt")])
+        assert by_key[("999", "gbt")][-1].startswith("config: ")
+        assert by_key[("999", "rid")][-1] == "config: k must lie in [1, 20], got 999"
         timing_lines = (out / "timings.csv").read_text().strip().splitlines()
         assert timing_lines[0] == "k,method,seconds"
         assert len(timing_lines) == 5
@@ -271,6 +314,22 @@ class TestDiagnose:
         assert report.splitlines()[0] == "iterations=40"
         auto = (diag_out / "autocorrelation.csv").read_text().splitlines()
         assert auto[0].startswith("lag,y_r")
+
+    def test_burn_in_past_the_end_of_the_trace(self, tmp_path, capsys):
+        src = _synth(tmp_path)
+        run_out = tmp_path / "run"
+        assert main([
+            "decompose", str(src), str(run_out), "--k", "3",
+            "--iterations", "40", "--burn-in", "10", "--thinning", "2",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(run_out / "trace.csv"), "--burn-in", "100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "iterations=40" in lines
+        report = build_run_report(read_trace_csv(run_out / "trace.csv"), 100, 1)
+        assert f"mixing={report.mixing}" in lines
+        # one kept value leaves no lag to estimate
+        assert "mixing=degenerate" in lines
 
     def test_constant_probe_reported_degenerate(self, tmp_path, capsys):
         rng = np.random.default_rng(163)

@@ -18,7 +18,7 @@ from bayesid.io import (
     write_trace_csv,
 )
 from bayesid.model import Hyperparameters, ObservedMatrix
-from bayesid.sampler import run_gibbs
+from bayesid.sampler import GibbsTrace, run_gibbs
 
 
 class TestCsvFormat:
@@ -285,12 +285,17 @@ class TestTraceCsv:
         p = tmp_path / "trace.csv"
         write_trace_csv(p, trace)
         back = read_trace_csv(p)
-        npt.assert_array_equal(back["iteration"], np.arange(1, 13))
-        npt.assert_array_equal(back["mse"], trace.mse_per_iter)
-        npt.assert_array_equal(back["sigma2"], trace.sigma2_chain)
-        assert sorted(back["probes"]) == sorted(trace.y_entry_chains)
+        assert isinstance(back, GibbsTrace)
+        npt.assert_array_equal(back.mse_per_iter, trace.mse_per_iter)
+        npt.assert_array_equal(back.mse_observed_per_iter, trace.mse_observed_per_iter)
+        npt.assert_array_equal(back.sigma2_chain, trace.sigma2_chain)
+        assert sorted(back.y_entry_chains) == sorted(trace.y_entry_chains)
         for pos, chain in trace.y_entry_chains.items():
-            npt.assert_array_equal(back["probes"][pos], chain)
+            npt.assert_array_equal(back.y_entry_chains[pos], chain)
+        # the file does not record swaps
+        assert back.accepted_swaps is None
+        # the iteration column is written 1-based but not returned
+        npt.assert_array_equal(np.loadtxt(p, delimiter=",", skiprows=1, usecols=0), np.arange(1, 13))
 
     def test_write_is_deterministic(self, tmp_path):
         trace = self._trace()
