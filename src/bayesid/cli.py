@@ -25,6 +25,7 @@ from .errors import BayesidError, ConfigurationError, InputError, NumericalError
 from .io import (
     PreprocessConfig,
     load_matrix,
+    make_output_dir,
     open_output,
     preprocess,
     read_trace_csv,
@@ -225,6 +226,8 @@ def cmd_decompose(args) -> int:
     if args.oversample is not None and method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
     _check_run_flags(args, [args.k])
+    # an unusable output path should stop the run before the input is sampled
+    make_output_dir(out_dir)
     raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
     data = preprocess(raw, prep)
     c, w, result, trace = _decompose(
@@ -259,6 +262,7 @@ def cmd_benchmark(args) -> int:
     prep = _prep_from_args(args)
     ks = list(args.k)
     _check_run_flags(args, ks)
+    make_output_dir(out_dir)
     raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
     data = preprocess(raw, prep)
 

@@ -1,9 +1,10 @@
 """Every file the package reads or writes, plus preprocessing.
 
-Files are opened only through ``open_input`` and ``open_output``. Input is
+Files are opened only through ``open_input`` and ``open_output``, and
+output directories are created only through ``make_output_dir``. Input is
 read as UTF-8; a file that is missing, is a directory, cannot be read or
-does not decode raises InputError. An output that cannot be created
-raises ConfigurationError.
+does not decode raises InputError. An output file or directory that
+cannot be created raises ConfigurationError.
 
 Two matrix formats are supported. CSV holds a dense matrix, one row per
 line, where an empty field marks an unobserved entry. MatrixMarket
@@ -69,14 +70,27 @@ def _csv_rows(path, skip: int = 0):
 
 
 @contextmanager
+def _creating(path):
+    """Turn an OSError raised while creating ``path`` into ConfigurationError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
+def make_output_dir(path) -> None:
+    """Create a directory and its parents; failure raises ConfigurationError."""
+    with _creating(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
+@contextmanager
 def open_output(path):
     """Open a file for writing, creating its directory; failure raises ConfigurationError."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(path.parent)
+    with _creating(path):
         fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
     with fh:
         yield fh
 

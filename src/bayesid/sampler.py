@@ -8,9 +8,17 @@ of the active rows. The aggressive sampler keeps a second candidate state
 whose weights are resampled against the proposed column selection, which
 lets a proposed column prove itself before the accept decision.
 
+The weight sweep works in Gram form: from the K basis columns C it forms
+G = C^T C and P = C^T A, updates each active row of Y from them in O(KN)
+without reading the M x N residual, and rebuilds the residual once at
+the end. A sweep costs O(KMN) in two BLAS-3 products plus O(K^2 N) in the
+row loop, on top of the prior redraws of the N - K inactive rows. The
+loss is summed once per iteration and shared by the trace and the next
+noise-variance draw.
+
 All conditionals are evaluated in the log domain. The swap odds use an
-incremental residual update, O(MN) per proposal; debug mode cross-checks
-it against a full recomputation.
+incremental update, two matrix-vector products with the residual per
+proposal; debug mode cross-checks it against a full recomputation.
 """
 
 from __future__ import annotations
@@ -174,9 +182,16 @@ def state_swap_log_odds(
     else:
         if resid is None:
             resid = residual(data.values, state.y, state.r)
-        # removing column j adds back its contribution, activating i removes i's
-        delta = np.outer(data.values[:, j], state.y[j, :]) - np.outer(data.values[:, i], state.y[i, :])
-        diff = 2.0 * float(np.sum(resid * delta)) + float(np.sum(delta * delta))
+        # removing column j adds back its contribution, activating i removes
+        # i's: delta = x_j y_j^T - x_i y_i^T = xs @ ys.T / 2. Written in sums
+        # and differences, a swap between twin columns (x_i = +-x_j) does not
+        # cancel in rounding, and delta itself is never formed.
+        x_j, x_i = data.values[:, j], data.values[:, i]
+        y_j, y_i = state.y[j, :], state.y[i, :]
+        xs = np.stack([x_j + x_i, x_j - x_i], axis=1)
+        ys = np.stack([y_j - y_i, y_j + y_i], axis=1)
+        # 2 <resid, delta> + ||delta||^2
+        diff = float(np.sum(xs * (resid @ ys))) + float(np.sum((xs.T @ xs) * (ys.T @ ys))) / 4.0
     log_odds = -diff / (2.0 * state.sigma2)
     return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
 
@@ -231,28 +246,37 @@ def sample_state_vector(
 def _sweep_weights(values, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
     """One systematic Gibbs scan over every entry of y, in place.
 
-    Active rows are updated row by row against the maintained residual,
-    each against its own data column values[:, k]; within a row the
-    entries are conditionally independent, so each row is drawn in one
-    vectorized call. Rows of inactive columns do not touch the residual
-    and revert to their prior, drawn as one block.
+    Active rows are updated one at a time in ascending column order; within
+    a row the entries are conditionally independent, so each row is drawn
+    in one vectorized call. The scan works in Gram form: with the basis
+    C = values[:, J], G = C^T C and P = C^T values, the likelihood term of
+    row k, x_k^T (resid + x_k y_k), is P[k] - G[k] @ Y_J + G[k, k] Y_J[k],
+    so a row update costs O(KN) and never touches the M x N residual. Rows
+    of inactive columns do not enter the likelihood and revert to their
+    prior, drawn as one block.
+
+    Cost: O(KMN) in two BLAS-3 products (forming P, and rebuilding the
+    residual once at the end), plus O(K^2 N) in the row loop. G and P are
+    formed afresh every sweep, so a column swap invalidates nothing.
 
     Returns the residual of the updated y, as ``model.residual`` forms it.
     """
-    resid = residual(values, y, r)
-    for k in np.flatnonzero(r == 1):
-        x_k = values[:, k]
-        s = float(x_k @ x_k)
-        old = y[k, :].copy()
+    active = np.flatnonzero(r == 1)
+    c = values[:, active]
+    gram = c.T @ c
+    proj = c.T @ values
+    y_active = y[active]
+    for row, k in enumerate(active):
+        s = gram[row, row]
+        like = proj[row] - gram[row] @ y_active + s * y_active[row]
         tau_post = s / sigma2 + gtn_tau[k, :]
-        mu_post = ((x_k @ resid + s * old) / sigma2 + gtn_tau[k, :] * gtn_mu[k, :]) / tau_post
-        new = sample_gtn_array(mu_post, tau_post, a, b, rng)
-        y[k, :] = new
-        resid -= np.outer(x_k, new - old)
+        mu_post = (like / sigma2 + gtn_tau[k, :] * gtn_mu[k, :]) / tau_post
+        y_active[row] = sample_gtn_array(mu_post, tau_post, a, b, rng)
+        y[k, :] = y_active[row]
     inactive = r == 0
     if inactive.any():
         y[inactive, :] = sample_gtn_array(gtn_mu[inactive, :], gtn_tau[inactive, :], a, b, rng)
-    return resid
+    return values - c @ y_active
 
 
 def _update_weight_priors(state: IdState, hp: Hyperparameters, rng: np.random.Generator) -> None:
@@ -282,19 +306,24 @@ def _check_data(data: ObservedMatrix) -> None:
 
 
 class _TraceRecorder:
-    def __init__(self, iterations: int, probes: list[tuple[int, int]]):
+    def __init__(self, iterations: int, probes: list[tuple[int, int]], mask: np.ndarray):
         self.mse = np.empty(iterations)
         self.mse_obs = np.empty(iterations)
         self.sigma2 = np.empty(iterations)
         self.probes = probes
         self.probe_vals = np.empty((len(probes), iterations))
+        # a fully observed mask changes no residual, so the observed loss is the loss
+        self.mask = None if mask.all() else mask
+        self.obs_count = int(mask.sum())
         self.swaps = 0
         self.count = 0
 
-    def record(self, resid: np.ndarray, mask: np.ndarray, obs_count: int, state: IdState) -> None:
+    def record(self, resid: np.ndarray, rss: float, state: IdState) -> None:
+        """Record one iteration; ``rss`` is ``np.sum(resid**2)``, shared with the next sigma^2 draw."""
         t = self.count
-        self.mse[t] = float(np.mean(resid**2))
-        self.mse_obs[t] = float(np.sum((resid * mask) ** 2)) / obs_count
+        self.mse[t] = rss / resid.size
+        rss_obs = rss if self.mask is None else float(np.sum((resid * self.mask) ** 2))
+        self.mse_obs[t] = rss_obs / self.obs_count
         self.sigma2[t] = state.sigma2
         for p, (k, l) in enumerate(self.probes):
             self.probe_vals[p, t] = state.y[k, l]
@@ -323,12 +352,12 @@ def run_gibbs(
     state = init_state(data, hp, rng)
     n = data.shape[1]
     probes = probe_positions if probe_positions is not None else _choose_probes(n, rng)
-    rec = _TraceRecorder(hp.iterations, probes)
-    obs_count = int(data.mask.sum())
+    rec = _TraceRecorder(hp.iterations, probes, data.mask)
 
     resid = residual(data.values, state.y, state.r)
+    rss = float(np.sum(resid**2))
     for _ in range(hp.iterations):
-        p = noise_variance_params_from_rss(float(np.sum(resid**2)), data.shape, hp)
+        p = noise_variance_params_from_rss(rss, data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
         resid = _sweep_weights(
             data.values, state.y, state.sigma2,
@@ -338,7 +367,8 @@ def run_gibbs(
             _update_weight_priors(state, hp, rng)
         if sample_state_vector(state, data, rng, resid=resid, debug_checks=debug_checks):
             rec.swaps += 1
-        rec.record(resid, data.mask, obs_count, state)
+        rss = float(np.sum(resid**2))
+        rec.record(resid, rss, state)
         if debug_checks:
             validate_state(state, data, hp)
             fresh = residual(data.values, state.y, state.r)
@@ -385,15 +415,15 @@ def run_gibbs_aggressive(
     state = init_state(data, hp, rng)
     n = data.shape[1]
     probes = probe_positions if probe_positions is not None else _choose_probes(n, rng)
-    rec = _TraceRecorder(hp.iterations, probes)
-    obs_count = int(data.mask.sum())
+    rec = _TraceRecorder(hp.iterations, probes, data.mask)
 
     r2 = _propose_swap_vector(state.r, rng)
     has_proposal = hp.k < n
 
     resid = residual(data.values, state.y, state.r)
+    rss = float(np.sum(resid**2))
     for _ in range(hp.iterations):
-        p = noise_variance_params_from_rss(float(np.sum(resid**2)), data.shape, hp)
+        p = noise_variance_params_from_rss(rss, data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
 
         y2 = state.y.copy()
@@ -401,19 +431,21 @@ def run_gibbs_aggressive(
             data.values, state.y, state.sigma2,
             state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
         )
+        rss = float(np.sum(resid**2))
         if has_proposal:
             resid2 = _sweep_weights(
                 data.values, y2, state.sigma2,
                 state.gtn_mu, state.gtn_tau, hp.a, hp.b, r2, rng,
             )
-            diff = float(np.sum(resid2**2)) - float(np.sum(resid**2))
+            rss2 = float(np.sum(resid2**2))
+            diff = rss2 - rss
             log_odds = float(np.clip(-diff / (2.0 * state.sigma2), -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
             if rng.uniform() < _sigmoid(log_odds):
                 state.r, state.y = r2, y2
-                resid = resid2
+                resid, rss = resid2, rss2
                 rec.swaps += 1
             r2 = _propose_swap_vector(state.r, rng)
-        rec.record(resid, data.mask, obs_count, state)
+        rec.record(resid, rss, state)
         if debug_checks:
             validate_state(state, data, hp)
     return state, rec.finish()

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bayesid import cli
 from bayesid.cli import main
 from bayesid.diagnostics import build_run_report
 from bayesid.io import load_matrix, read_trace_csv
@@ -232,6 +233,23 @@ class TestErrorExits:
         argv = [a.format(src=src, trace=trace, file=file) for a in argv]
         capsys.readouterr()
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert file.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "benchmark"])
+    def test_output_checked_before_input_is_read(self, tmp_path, capsys, monkeypatch, command):
+        src = _synth(tmp_path)
+        file = tmp_path / "file"
+        file.write_text("keep\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached before the output directory was created")
+
+        monkeypatch.setattr(cli, "load_matrix", unreachable)
+        monkeypatch.setattr(cli, "_decompose", unreachable)
+        capsys.readouterr()
+        assert main([command, str(src), "--out", str(file), "--k", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1, err
         assert file.read_text() == "keep\n"

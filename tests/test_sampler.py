@@ -11,9 +11,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bayesid import sampler
 from bayesid.errors import ConfigurationError, InputError
 from bayesid.model import Hyperparameters, IdState, ObservedMatrix, init_state, residual
 from bayesid.sampler import (
+    _sweep_weights,
     noise_variance_params,
     run_gibbs,
     run_gibbs_aggressive,
@@ -271,6 +273,42 @@ class TestStateSwap:
             fast = state_swap_log_odds(state, data, j, i)
             slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
             npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
+        # wide (N > M) and masked
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(m + 1, 14))
+            k = int(rng.integers(1, n))
+            mask = rng.uniform(size=(m, n)) > 0.3
+            data = ObservedMatrix(values=np.where(mask, rng.normal(size=(m, n)), 0.0), mask=mask)
+            hp = Hyperparameters(k=k, iterations=10, burn_in=0, thinning=1)
+            state = init_state(data, hp, rng)
+            state.sigma2 = float(rng.uniform(0.05, 2.0))
+            j = int(state.basis_indices[rng.integers(k)])
+            i = int(state.interpolated_indices[rng.integers(n - k)])
+            fast = state_swap_log_odds(state, data, j, i)
+            slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
+            npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
+        # near an exact fit, swapping a basis column for its twin (x_i ~ +-x_j,
+        # y_i ~ +-y_j): the two rank-1 terms nearly cancel, and sigma2 is set
+        # so that the tiny change in loss still gives log odds of -1
+        n_pre, rank = 8, 3
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            values = duplicated_id_matrix(20, n_pre, rank, rng, noise=1e-7)
+            values[:, n_pre:] *= sign
+            data = ObservedMatrix.fully_observed(values)
+            n = values.shape[1]
+            r = np.zeros(n, dtype=np.int8)
+            r[:rank] = 1
+            y = rng.uniform(-1.0, 1.0, size=(n, n))
+            y[:rank] = np.linalg.lstsq(values[:, :rank], values, rcond=None)[0]
+            j = int(rng.integers(rank))
+            i = j + n_pre
+            y[i] = sign * y[j] + 1e-7 * rng.normal(size=n)
+            state = IdState(y=y, r=r, sigma2=0.5, gtn_mu=np.zeros((n, n)), gtn_tau=np.ones((n, n)))
+            state.sigma2 = abs(state_swap_log_odds(state, data, j, i, full_recompute=True)) / 2.0
+            fast = state_swap_log_odds(state, data, j, i)
+            slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
+            npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
 
     def test_debug_checks_cross_validate(self):
         rng = np.random.default_rng(157)
@@ -297,6 +335,49 @@ class TestStateSwap:
         for _ in range(60):
             sample_state_vector(state, data, rng, resid=resid)
         npt.assert_allclose(resid, residual(data.values, state.y, state.r), atol=1e-10)
+
+
+class TestGramSweep:
+    """The Gram-form sweep draws every active row from the conditional that
+    the entrywise reference kernel ``weight_entry_params`` states."""
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    @pytest.mark.parametrize("shape, k, masked", [
+        ((12, 8), 3, False),
+        ((12, 8), 3, True),
+        ((6, 5), 5, False),
+        ((3, 7), 5, True),
+    ], ids=["tall", "masked", "k-equals-n", "k-exceeds-m"])
+    def test_row_params_match_entry_kernel(self, monkeypatch, variant, shape, k, masked):
+        rng = np.random.default_rng(241)
+        mask = rng.uniform(size=shape) > 0.3 if masked else np.ones(shape, dtype=bool)
+        data = ObservedMatrix(values=np.where(mask, rng.normal(size=shape), 0.0), mask=mask)
+        hp = Hyperparameters(k=k, variant=variant, iterations=10, burn_in=0, thinning=1)
+        state = init_state(data, hp, rng)
+        state.sigma2 = 0.3
+        n = shape[1]
+        active = list(state.basis_indices)
+        draw = sampler.sample_gtn_array
+        calls = []
+
+        def spy(mu, tau, a, b, gen):
+            # active rows come first, in ascending order; the oracle reads the
+            # state as the sweep has left it so far
+            if len(calls) < len(active):
+                row = active[len(calls)]
+                want = np.array([weight_entry_params(state, data, row, l) for l in range(n)])
+                calls.append((np.array(mu), np.array(tau), want))
+            return draw(mu, tau, a, b, gen)
+
+        monkeypatch.setattr(sampler, "sample_gtn_array", spy)
+        resid = _sweep_weights(
+            data.values, state.y, state.sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
+        )
+        assert len(calls) == k
+        for mu, tau, want in calls:
+            npt.assert_allclose(mu, want[:, 0], rtol=1e-10)
+            npt.assert_allclose(tau, want[:, 1], rtol=1e-10)
+        npt.assert_array_equal(resid, residual(data.values, state.y, state.r))
 
 
 class TestRunGibbs:
