@@ -29,6 +29,7 @@ from .io import (
     open_output,
     preprocess,
     read_trace_csv,
+    remove_empty_dirs,
     save_matrix,
     save_result,
     write_csv,
@@ -214,6 +215,22 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
     return canonical.c, canonical.w, meta, trace
 
 
+def _load_into(out_dir, args, prep):
+    """Create the output directory, then read and preprocess the input.
+
+    An unusable output path stops the run before the input is read. If the
+    input then fails, the directories created here are removed again while
+    they are empty, so a failed run leaves no stray directory behind.
+    """
+    created = make_output_dir(out_dir)
+    try:
+        raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
+        return raw, preprocess(raw, prep)
+    except BaseException:
+        remove_empty_dirs(created)
+        raise
+
+
 def cmd_decompose(args) -> int:
     method = args.method
     if args.aggressive:
@@ -226,10 +243,7 @@ def cmd_decompose(args) -> int:
     if args.oversample is not None and method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
     _check_run_flags(args, [args.k])
-    # an unusable output path should stop the run before the input is sampled
-    make_output_dir(out_dir)
-    raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-    data = preprocess(raw, prep)
+    raw, data = _load_into(out_dir, args, prep)
     c, w, result, trace = _decompose(
         data, method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
         args.oversample,
@@ -262,9 +276,7 @@ def cmd_benchmark(args) -> int:
     prep = _prep_from_args(args)
     ks = list(args.k)
     _check_run_flags(args, ks)
-    make_output_dir(out_dir)
-    raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-    data = preprocess(raw, prep)
+    _, data = _load_into(out_dir, args, prep)
 
     rows = []
     timings = []

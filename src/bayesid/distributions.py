@@ -25,6 +25,10 @@ _TAIL_LIMIT = 5.0
 
 _MAX_REJECTION_ROUNDS = 1000
 
+# The open unit interval that the inverse CDF is evaluated on.
+_U_MIN = np.nextafter(0.0, 1.0)
+_U_MAX = np.nextafter(1.0, 0.0)
+
 
 @dataclass(frozen=True)
 class GtnParams:
@@ -150,26 +154,50 @@ def _sample_right_tail(alpha, beta, rng):
     return out
 
 
-def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator):
+def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator, size=None):
     """Draw one GTN variate per element of the broadcast parameter arrays.
 
-    Every draw lies inside its [a, b] interval, including when the whole
-    interval sits beyond 6 standard deviations from the parent mean.
+    ``size``, when given, is the output shape, and the parameters must
+    broadcast to it; otherwise the output takes the parameters' broadcast
+    shape. The standardized bounds are computed at the parameters' own
+    shape, so a scalar prior costs one ``ndtr`` pair however many draws it
+    gives. Every draw lies inside its [a, b] interval, including when the
+    whole interval sits beyond 6 standard deviations from the parent mean.
     """
-    mu, tau, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (mu, tau, a, b)))
+    mu, tau, a, b = (np.asarray(v, dtype=float) for v in (mu, tau, a, b))
     sd = 1.0 / np.sqrt(tau)
     alpha = (a - mu) / sd
     beta = (b - mu) / sd
-
-    z = np.empty(alpha.shape)
+    param_shape = np.broadcast_shapes(alpha.shape, beta.shape)
+    shape = param_shape if size is None else ((size,) if np.isscalar(size) else tuple(size))
+    if size is not None and np.broadcast_shapes(param_shape, shape) != shape:
+        raise ValueError(f"parameters of shape {param_shape} do not broadcast to size {shape}")
     hi = alpha >= _TAIL_LIMIT
     lo = beta <= -_TAIL_LIMIT
+
+    if not (hi.any() or lo.any()):
+        # central everywhere: uniforms straight into the output, in the
+        # order the masked path below would consume them
+        p_lo = ndtr(alpha)
+        z = rng.uniform(size=shape)
+        z *= ndtr(beta) - p_lo
+        z += p_lo
+        np.clip(z, _U_MIN, _U_MAX, out=z)
+        ndtri(z, out=z)
+        z *= sd
+        z += mu
+        return np.clip(z, a, b, out=z)
+
+    mu, sd, a, b, alpha, beta, hi, lo = (
+        np.broadcast_to(v, shape) for v in (mu, sd, a, b, alpha, beta, hi, lo)
+    )
+    z = np.empty(shape)
     mid = ~(hi | lo)
     if mid.any():
         p_lo = ndtr(alpha[mid])
         p_hi = ndtr(beta[mid])
         u = p_lo + rng.uniform(size=int(mid.sum())) * (p_hi - p_lo)
-        u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        u = np.clip(u, _U_MIN, _U_MAX)
         z[mid] = ndtri(u)
     if hi.any():
         z[hi] = _sample_right_tail(alpha[hi], beta[hi], rng)
@@ -182,10 +210,7 @@ def sample_gtn(p: GtnParams, rng: np.random.Generator, size=None):
     """Draw from the GTN. Returns a float for size=None, else an array."""
     if size is None:
         return float(sample_gtn_array(p.mu, p.tau, p.a, p.b, rng).reshape(()))
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    return sample_gtn_array(
-        np.full(shape, p.mu), np.full(shape, p.tau), np.full(shape, p.a), np.full(shape, p.b), rng
-    )
+    return sample_gtn_array(p.mu, p.tau, p.a, p.b, rng, size=size)
 
 
 def sample_gamma(p: GammaParams, rng: np.random.Generator, size=None):

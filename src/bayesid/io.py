@@ -78,10 +78,30 @@ def _creating(path):
         raise ConfigurationError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
-def make_output_dir(path) -> None:
-    """Create a directory and its parents; failure raises ConfigurationError."""
+def make_output_dir(path) -> list[Path]:
+    """Create a directory and its parents; failure raises ConfigurationError.
+
+    Returns the directories this call created, the leaf first, so a caller
+    whose run fails can take them away again with ``remove_empty_dirs``.
+    """
+    path = Path(path)
+    created = []
+    for d in (path, *path.parents):
+        if d.exists():
+            break
+        created.append(d)
     with _creating(path):
-        Path(path).mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
+    return created
+
+
+def remove_empty_dirs(dirs) -> None:
+    """Remove the given directories in order, stopping at the first that is not empty."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
 
 
 @contextmanager

@@ -5,7 +5,9 @@ where J holds the K basis columns, selected by the binary state vector r,
 and Y holds interpolation weights confined to [a, b]. The basis is read
 from the data through r, so the state keeps no copy of A. Y is stored
 full N x N; rows of Y belonging to inactive columns revert to their prior
-during sampling.
+during sampling. The weight prior is GTN(gtn_mu, gtn_tau) on [a, b]: under
+gbt one fixed pair for every entry, held as two 0-d arrays that broadcast
+against Y; under gbtn one pair per entry, held N x N.
 """
 
 from __future__ import annotations
@@ -106,7 +108,10 @@ class IdState:
     """Current Gibbs state: weights, state vector, noise variance, weight priors.
 
     The basis is data.values[:, basis_indices]; ``residual`` forms what
-    the state leaves of the data unexplained.
+    the state leaves of the data unexplained. ``y`` is N x N. The prior
+    arrays ``gtn_mu`` and ``gtn_tau`` broadcast against ``y``: 0-d under
+    gbt, N x N under gbtn; read entry (k, l) through
+    ``np.broadcast_to(gtn_mu, y.shape)``.
     """
 
     y: np.ndarray
@@ -132,6 +137,17 @@ def residual(values: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     return values - values[:, active] @ y[active]
 
 
+def sample_prior_rows(gtn_mu, gtn_tau, rows, n, a, b, rng: np.random.Generator) -> np.ndarray:
+    """Draw the weight rows listed in ``rows`` from their prior, as one len(rows) x n block.
+
+    A 0-d prior is passed to the GTN sampler as it is, so its standardized
+    bounds are computed once; an N x N prior is cut down to ``rows``.
+    """
+    if np.ndim(gtn_mu) == 2:
+        gtn_mu, gtn_tau = gtn_mu[rows], gtn_tau[rows]
+    return sample_gtn_array(gtn_mu, gtn_tau, a, b, rng, size=(len(rows), n))
+
+
 def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator) -> IdState:
     """Build the initial state: a dominant column set, prior-drawn weights.
 
@@ -142,8 +158,9 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     an exact decomposition inside the default weight bounds. The choice is
     deterministic and draws no random numbers. Y is drawn entrywise from its
     weight prior (no identity pattern imposed), and the noise variance is
-    one draw from its prior, floored at 1e-6. The state's arrays are all
-    N x N or shorter, whatever the row count M.
+    one draw from its prior, floored at 1e-6. Y is N x N whatever the row
+    count M; the weight prior is a 0-d pair (0, 1) under gbt and is drawn
+    N x N from its hyper-prior under gbtn.
     """
     n = data.shape[1]
     if hp.k > n:
@@ -157,10 +174,10 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
         gtn_tau = rng.gamma(hp.alpha_t, 1.0 / hp.beta_t, size=(n, n))
         gtn_tau = np.maximum(gtn_tau, np.finfo(float).tiny)
     else:
-        gtn_mu = np.zeros((n, n))
-        gtn_tau = np.ones((n, n))
+        gtn_mu = np.array(0.0)
+        gtn_tau = np.array(1.0)
 
-    y = sample_gtn_array(gtn_mu, gtn_tau, hp.a, hp.b, rng)
+    y = sample_prior_rows(gtn_mu, gtn_tau, np.arange(n), n, hp.a, hp.b, rng)
 
     sigma2 = sample_inverse_gamma(GammaParams(hp.alpha_sigma, hp.beta_sigma), rng)
     sigma2 = max(sigma2, _SIGMA2_FLOOR)
@@ -181,6 +198,12 @@ def validate_state(state: IdState, data: ObservedMatrix, hp: Hyperparameters) ->
         raise ValueError("y entries fall outside the weight bounds")
     if not (np.isfinite(state.sigma2) and state.sigma2 > 0):
         raise ValueError(f"sigma2 must be positive and finite, got {state.sigma2}")
+    for name in ("gtn_mu", "gtn_tau"):
+        prior = getattr(state, name)
+        try:
+            np.broadcast_to(prior, state.y.shape)
+        except ValueError:
+            raise ValueError(f"{name} of shape {np.shape(prior)} does not broadcast to y") from None
     if np.any(state.gtn_tau <= 0) or not np.all(np.isfinite(state.gtn_tau)):
         raise ValueError("weight precisions must be positive and finite")
     if not np.all(np.isfinite(state.gtn_mu)):

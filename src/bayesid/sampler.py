@@ -41,6 +41,7 @@ from .model import (
     ObservedMatrix,
     init_state,
     residual,
+    sample_prior_rows,
     validate_state,
 )
 
@@ -82,14 +83,16 @@ def weight_entry_params(state: IdState, data: ObservedMatrix, k: int, l: int) ->
     When column k is inactive the likelihood contributes nothing and the
     parameters are the prior's for that entry.
     """
+    prior_mu = float(np.broadcast_to(state.gtn_mu, state.y.shape)[k, l])
+    prior_tau = float(np.broadcast_to(state.gtn_tau, state.y.shape)[k, l])
     if state.r[k] != 1:
-        return float(state.gtn_mu[k, l]), float(state.gtn_tau[k, l])
+        return prior_mu, prior_tau
     x_k = data.values[:, k]
     s = float(x_k @ x_k)
     # residual of column l with entry (k, l)'s own contribution removed
     partial = residual(data.values, state.y, state.r)[:, l] + x_k * state.y[k, l]
-    tau_post = s / state.sigma2 + state.gtn_tau[k, l]
-    mu_post = (float(x_k @ partial) / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau_post
+    tau_post = s / state.sigma2 + prior_tau
+    mu_post = (float(x_k @ partial) / state.sigma2 + prior_tau * prior_mu) / tau_post
     return mu_post, tau_post
 
 
@@ -253,15 +256,21 @@ def _sweep_weights(values, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
     row k, x_k^T (resid + x_k y_k), is P[k] - G[k] @ Y_J + G[k, k] Y_J[k],
     so a row update costs O(KN) and never touches the M x N residual. Rows
     of inactive columns do not enter the likelihood and revert to their
-    prior, drawn as one block.
+    prior, drawn as one block by ``model.sample_prior_rows``. The prior
+    arrays may be 0-d (gbt) or N x N (gbtn); rows read them through
+    ``np.broadcast_to``.
 
     Cost: O(KMN) in two BLAS-3 products (forming P, and rebuilding the
-    residual once at the end), plus O(K^2 N) in the row loop. G and P are
-    formed afresh every sweep, so a column swap invalidates nothing.
+    residual once at the end), plus O(K^2 N) in the row loop, plus O(N^2)
+    GTN draws for the inactive rows; under gbt those draws compute their
+    standardized bounds once, not per entry. G and P are formed afresh
+    every sweep, so a column swap invalidates nothing.
 
     Returns the residual of the updated y, as ``model.residual`` forms it.
     """
     active = np.flatnonzero(r == 1)
+    prior_mu = np.broadcast_to(gtn_mu, y.shape)
+    prior_tau = np.broadcast_to(gtn_tau, y.shape)
     c = values[:, active]
     gram = c.T @ c
     proj = c.T @ values
@@ -269,13 +278,13 @@ def _sweep_weights(values, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
     for row, k in enumerate(active):
         s = gram[row, row]
         like = proj[row] - gram[row] @ y_active + s * y_active[row]
-        tau_post = s / sigma2 + gtn_tau[k, :]
-        mu_post = (like / sigma2 + gtn_tau[k, :] * gtn_mu[k, :]) / tau_post
+        tau_post = s / sigma2 + prior_tau[k]
+        mu_post = (like / sigma2 + prior_tau[k] * prior_mu[k]) / tau_post
         y_active[row] = sample_gtn_array(mu_post, tau_post, a, b, rng)
         y[k, :] = y_active[row]
-    inactive = r == 0
-    if inactive.any():
-        y[inactive, :] = sample_gtn_array(gtn_mu[inactive, :], gtn_tau[inactive, :], a, b, rng)
+    inactive = np.flatnonzero(r == 0)
+    if inactive.size:
+        y[inactive] = sample_prior_rows(gtn_mu, gtn_tau, inactive, y.shape[1], a, b, rng)
     return values - c @ y_active
 
 

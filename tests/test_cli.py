@@ -10,7 +10,7 @@ import pytest
 from bayesid import cli
 from bayesid.cli import main
 from bayesid.diagnostics import build_run_report
-from bayesid.io import load_matrix, read_trace_csv
+from bayesid.io import load_matrix, make_output_dir, read_trace_csv, remove_empty_dirs
 from bayesid.linalg import cpqr, numerical_rank
 
 
@@ -185,6 +185,33 @@ class TestErrorExits:
         assert main([
             "decompose", str(tmp_path / "absent.csv"), str(tmp_path / "o"), "--k", "2",
         ]) == 3
+
+    @pytest.mark.parametrize("command", ["decompose", "benchmark"])
+    def test_failed_input_removes_created_output_dirs(self, tmp_path, capsys, command):
+        out = tmp_path / "o" / "run"
+        assert main([command, str(tmp_path / "absent.csv"), "--out", str(out), "--k", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: input: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_input_keeps_existing_dirs(self, tmp_path):
+        absent = str(tmp_path / "absent.csv")
+        keep = tmp_path / "keep"
+        keep.mkdir()
+        assert main(["decompose", absent, "--out", str(keep / "a" / "b"), "--k", "2"]) == 3
+        assert keep.is_dir() and not (keep / "a").exists()
+        assert main(["decompose", absent, "--out", str(keep), "--k", "2"]) == 3
+        assert keep.is_dir()
+
+    def test_make_output_dir_reports_what_it_created(self, tmp_path):
+        a = tmp_path / "a"
+        a.mkdir()
+        assert make_output_dir(a / "b" / "c") == [a / "b" / "c", a / "b"]
+        assert make_output_dir(a / "b") == []
+        (a / "b" / "note.txt").write_text("keep\n")
+        remove_empty_dirs([a / "b" / "c", a / "b", a])
+        # removal stops at the first directory that is not empty
+        assert not (a / "b" / "c").exists()
+        assert (a / "b" / "note.txt").read_text() == "keep\n"
 
     def test_malformed_trace_exits_3(self, tmp_path, capsys):
         p = tmp_path / "trace.csv"

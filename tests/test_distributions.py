@@ -205,6 +205,63 @@ class TestSampleGtn:
         assert np.all(draws >= p.a) and np.all(draws <= p.b)
 
 
+class TestSizeContract:
+    """Parameters broadcast by ``size`` give the same draws, and leave the
+    generator in the same state, as the same parameters passed full-size."""
+
+    @pytest.mark.parametrize("mu, tau, a, b", [
+        (0.0, 1.0, -1.0, 1.0),
+        (0.0, 1.0, 6.0, 8.0),
+        (0.0, 1.0, -8.0, -6.0),
+        (np.array([0.0, 9.0, -9.0, 0.5]), np.array([1.0, 1.0, 1.0, 4.0]), -1.0, 1.0),
+    ], ids=["central", "right-tail", "left-tail", "mixed-row"])
+    def test_broadcast_params_match_full_arrays(self, mu, tau, a, b):
+        size = (5, 4)
+        full = [np.broadcast_to(np.asarray(v, dtype=float), size).copy() for v in (mu, tau, a, b)]
+        rng_small, rng_full = np.random.default_rng(71), np.random.default_rng(71)
+        small = sample_gtn_array(mu, tau, a, b, rng_small, size=size)
+        want = sample_gtn_array(*full, rng_full)
+        assert small.shape == size
+        npt.assert_array_equal(small, want)
+        assert rng_small.bit_generator.state == rng_full.bit_generator.state
+        assert np.all(small >= full[2]) and np.all(small <= full[3])
+
+    def test_central_block_draws_in_row_major_order(self):
+        # one uniform per entry, in the order that scalar draws one by one take them
+        rng_block, rng_one = np.random.default_rng(89), np.random.default_rng(89)
+        block = sample_gtn_array(0.2, 3.0, -1.0, 1.0, rng_block, size=(3, 4))
+        one_by_one = [sample_gtn_array(0.2, 3.0, -1.0, 1.0, rng_one) for _ in range(12)]
+        npt.assert_array_equal(block.ravel(), one_by_one)
+        assert rng_block.bit_generator.state == rng_one.bit_generator.state
+
+    def test_sample_gtn_matches_full_arrays(self):
+        p = GtnParams(mu=0.3, tau=2.0, a=-1.0, b=1.0)
+        rng_p, rng_full = np.random.default_rng(73), np.random.default_rng(73)
+        got = sample_gtn(p, rng_p, size=(3, 2))
+        want = sample_gtn_array(*(np.full((3, 2), v) for v in (p.mu, p.tau, p.a, p.b)), rng_full)
+        npt.assert_array_equal(got, want)
+        assert rng_p.bit_generator.state == rng_full.bit_generator.state
+
+    def test_size_is_the_output_shape(self):
+        rng = np.random.default_rng(79)
+        assert sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=()).shape == ()
+        assert sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=6).shape == (6,)
+        assert sample_gtn_array(np.zeros(3), 1.0, -1.0, 1.0, rng, size=(2, 3)).shape == (2, 3)
+
+    @pytest.mark.parametrize("mu, size", [
+        (np.zeros(3), (2,)),
+        (np.zeros((2, 3)), (3,)),
+        (np.zeros((2, 1)), (3,)),
+    ], ids=["mismatch", "params-larger", "would-grow"])
+    def test_params_that_do_not_broadcast_to_size_rejected(self, mu, size):
+        rng = np.random.default_rng(83)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_gtn_array(mu, 1.0, -1.0, 1.0, rng, size=size)
+        # rejected before any draw, as numpy's Generator does
+        assert rng.bit_generator.state == before
+
+
 class TestGamma:
     def test_exponential_special_case_mean(self):
         rng = np.random.default_rng(37)

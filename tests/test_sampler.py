@@ -13,7 +13,14 @@ import pytest
 
 from bayesid import sampler
 from bayesid.errors import ConfigurationError, InputError
-from bayesid.model import Hyperparameters, IdState, ObservedMatrix, init_state, residual
+from bayesid.model import (
+    Hyperparameters,
+    IdState,
+    ObservedMatrix,
+    init_state,
+    residual,
+    validate_state,
+)
 from bayesid.sampler import (
     _sweep_weights,
     noise_variance_params,
@@ -378,6 +385,63 @@ class TestGramSweep:
             npt.assert_allclose(mu, want[:, 0], rtol=1e-10)
             npt.assert_allclose(tau, want[:, 1], rtol=1e-10)
         npt.assert_array_equal(resid, residual(data.values, state.y, state.r))
+
+
+class TestScalarPrior:
+    """Under gbt the weight prior is one 0-d (mean, precision) pair that
+    broadcasts against y; it must act exactly as N x N zeros and ones."""
+
+    @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
+    @pytest.mark.parametrize("shape, k, masked", [
+        ((30, 12), 4, False),
+        ((20, 15), 5, True),
+        ((6, 14), 4, False),
+    ], ids=["tall", "masked", "wide"])
+    def test_runs_equal_full_prior_arrays(self, monkeypatch, runner, shape, k, masked):
+        rng = np.random.default_rng(251)
+        mask = rng.uniform(size=shape) > 0.3 if masked else np.ones(shape, dtype=bool)
+        data = ObservedMatrix(values=np.where(mask, rng.normal(size=shape), 0.0), mask=mask)
+        hp = Hyperparameters(k=k, iterations=30, burn_in=5, thinning=1)
+        s_scalar, t_scalar = runner(data, hp, np.random.default_rng(7))
+        assert s_scalar.gtn_mu.ndim == 0 and s_scalar.gtn_tau.ndim == 0
+
+        def full_prior_init(data, hp, rng):
+            state = init_state(data, hp, rng)
+            n = data.shape[1]
+            state.gtn_mu, state.gtn_tau = np.zeros((n, n)), np.ones((n, n))
+            return state
+
+        monkeypatch.setattr(sampler, "init_state", full_prior_init)
+        s_full, t_full = runner(data, hp, np.random.default_rng(7))
+        assert s_full.gtn_mu.shape == (shape[1], shape[1])
+        npt.assert_array_equal(s_scalar.y, s_full.y)
+        npt.assert_array_equal(s_scalar.r, s_full.r)
+        assert s_scalar.sigma2 == s_full.sigma2
+        npt.assert_array_equal(t_scalar.mse_per_iter, t_full.mse_per_iter)
+        npt.assert_array_equal(t_scalar.mse_observed_per_iter, t_full.mse_observed_per_iter)
+        npt.assert_array_equal(t_scalar.sigma2_chain, t_full.sigma2_chain)
+        assert t_scalar.accepted_swaps == t_full.accepted_swaps
+        for pos in t_scalar.y_entry_chains:
+            npt.assert_array_equal(t_scalar.y_entry_chains[pos], t_full.y_entry_chains[pos])
+
+    def test_inactive_entry_params_are_the_scalar_prior(self):
+        rng = np.random.default_rng(257)
+        data, hp, state = frozen_state(5, 4, 2, rng)
+        assert state.gtn_mu.ndim == 0
+        k = int(state.interpolated_indices[0])
+        assert weight_entry_params(state, data, k, 3) == (0.0, 1.0)
+
+    def test_validate_state_checks_prior_shape(self):
+        rng = np.random.default_rng(263)
+        data, hp, state = frozen_state(5, 4, 2, rng)
+        validate_state(state, data, hp)
+        state.gtn_mu = np.zeros((5, 4))
+        with pytest.raises(ValueError, match="gtn_mu"):
+            validate_state(state, data, hp)
+        state.gtn_mu = np.array(0.0)
+        state.gtn_tau = np.ones(3)
+        with pytest.raises(ValueError, match="gtn_tau"):
+            validate_state(state, data, hp)
 
 
 class TestRunGibbs:
