@@ -2,9 +2,9 @@
 
 First a three-column matrix engineered so that unconstrained least
 squares must use a weight of 1.5. Then a larger matrix with a decaying
-column spectrum, where the randomized baseline gets a lower error but
-only by taking weights far outside [-1, 1]; the Gibbs sampler stays
-bounded by construction and still lands close.
+column spectrum, where the randomized baseline takes weights outside
+[-1, 1]; the Gibbs sampler stays bounded by construction and, on this
+instance, still fits with a lower error.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from bayesid.diagnostics import mse, posterior_mean_mse
 from bayesid.model import Hyperparameters, ObservedMatrix
 from bayesid.postprocess import extract_canonical
 from bayesid.rid import max_magnitude_excess, randomized_id
-from bayesid.sampler import run_gibbs_aggressive
+from bayesid.sampler import run_gibbs
 
 
 def decayed_instance(rng, m=100, n_pre=30, rank=24, decay=0.92, noise=0.1):
@@ -60,7 +60,7 @@ def main():
           f"(excess {max_magnitude_excess(base.w):.2f})")
 
     hp = Hyperparameters(k=args.k, iterations=500, burn_in=100, thinning=5)
-    state, trace = run_gibbs_aggressive(data, hp, np.random.default_rng(args.seed))
+    state, trace = run_gibbs(data, hp, np.random.default_rng(args.seed))
     canonical = extract_canonical(state, data)
     print(f"  gibbs sampler:       mse {posterior_mean_mse(trace.mse_per_iter, 100, 5):.5f} "
           f"(posterior mean), max |w| {np.max(np.abs(canonical.w)):.2f} "

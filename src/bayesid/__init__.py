@@ -31,7 +31,7 @@ from .linalg import cpqr, numerical_rank, solve_least_squares
 from .model import Hyperparameters, IdState, ObservedMatrix, init_state
 from .postprocess import CanonicalId, extract_canonical
 from .rid import RidResult, max_magnitude_excess, randomized_id
-from .sampler import GibbsTrace, run_gibbs, run_gibbs_aggressive
+from .sampler import GibbsTrace, run_gibbs
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "preprocess",
     "randomized_id",
     "run_gibbs",
-    "run_gibbs_aggressive",
     "sample_gtn",
     "sample_gtn_array",
     "save_matrix",

@@ -39,13 +39,12 @@ from .io import (
 from .model import Hyperparameters, ObservedMatrix
 from .postprocess import extract_canonical
 from .rid import max_magnitude_excess, randomized_id
-from .sampler import run_gibbs, run_gibbs_aggressive
+from .sampler import run_gibbs
 
 METHOD_GBT = "gbt"
 METHOD_GBTN = "gbtn"
-METHOD_GBT_AGGRESSIVE = "gbt-aggressive"
 METHOD_RID = "rid"
-METHODS = (METHOD_GBT, METHOD_GBTN, METHOD_GBT_AGGRESSIVE, METHOD_RID)
+METHODS = (METHOD_GBT, METHOD_GBTN, METHOD_RID)
 
 _EXIT_CODES = ((ConfigurationError, 2, "config"), (InputError, 3, "input"), (NumericalError, 4, "numerical"))
 
@@ -91,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--method", choices=METHODS, default=METHOD_GBT)
     p.add_argument("--k", type=int, required=True, help="number of columns to keep")
-    p.add_argument("--aggressive", action="store_true",
-                   help="use the aggressive sampler (gbt only)")
     p.add_argument("--oversample", type=float, default=None,
                    help="rid oversampling factor (default 1.2)")
     _add_sampler_flags(p)
@@ -192,8 +189,7 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
         k=k, iterations=iterations, burn_in=burn_in, thinning=thinning,
         variant=METHOD_GBTN if method == METHOD_GBTN else METHOD_GBT,
     )
-    runner = run_gibbs_aggressive if method == METHOD_GBT_AGGRESSIVE else run_gibbs
-    state, trace = runner(data, hp, rng)
+    state, trace = run_gibbs(data, hp, rng)
     report = build_run_report(trace, hp.burn_in, hp.thinning)
     canonical = extract_canonical(state, data)
     meta = {
@@ -232,25 +228,19 @@ def _load_into(out_dir, args, prep):
 
 
 def cmd_decompose(args) -> int:
-    method = args.method
-    if args.aggressive:
-        if method == METHOD_GBT:
-            method = METHOD_GBT_AGGRESSIVE
-        elif method != METHOD_GBT_AGGRESSIVE:
-            raise ConfigurationError("--aggressive applies only to the gbt method")
     out_dir = _resolve_out(args)
     prep = _prep_from_args(args)
-    if args.oversample is not None and method != METHOD_RID:
+    if args.oversample is not None and args.method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
     _check_run_flags(args, [args.k])
     raw, data = _load_into(out_dir, args, prep)
     c, w, result, trace = _decompose(
-        data, method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
+        data, args.method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
         args.oversample,
     )
     meta = {
         "command": "decompose",
-        "method": method,
+        "method": args.method,
         "k": args.k,
         "seed": args.seed,
         **_prep_metadata(prep, raw.shape, data.shape),
@@ -262,7 +252,7 @@ def cmd_decompose(args) -> int:
         return 0
     write_trace_csv(out_dir / "trace.csv", trace)
     print(
-        f"method={method} k={args.k} mse={result['mse']:.6g} "
+        f"method={args.method} k={args.k} mse={result['mse']:.6g} "
         f"posterior_mean_mse={result['mse_posterior_mean']:.6g} mixing={result['mixing']}"
     )
     return 0

@@ -4,9 +4,7 @@ Each iteration follows the same scan: a noise-variance draw, a full sweep
 over the weight matrix Y (plus, for the hierarchical variant, its
 per-entry prior means and precisions), and only then one swap proposal on
 the binary state vector, so no swap is scored against prior-drawn weights
-of the active rows. The aggressive sampler keeps a second candidate state
-whose weights are resampled against the proposed column selection, which
-lets a proposed column prove itself before the accept decision.
+of the active rows.
 
 The weight sweep works in Gram form: from the K basis columns C it forms
 G = C^T C and P = C^T A, updates each active row of Y from them in O(KN)
@@ -34,7 +32,6 @@ from .distributions import (
 )
 from .errors import ConfigurationError, InputError, NumericalError
 from .model import (
-    VARIANT_GBT,
     VARIANT_GBTN,
     Hyperparameters,
     IdState,
@@ -199,15 +196,6 @@ def state_swap_log_odds(
     return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
 
 
-def _draw_swap_pair(r: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
-    """A uniform (active j, inactive i) pair, or None when every column is active."""
-    active = np.flatnonzero(r == 1)
-    inactive = np.flatnonzero(r == 0)
-    if inactive.size == 0:
-        return None
-    return int(active[rng.integers(active.size)]), int(inactive[rng.integers(inactive.size)])
-
-
 def sample_state_vector(
     state: IdState,
     data: ObservedMatrix,
@@ -221,10 +209,12 @@ def sample_state_vector(
     swap and the state is returned unchanged. When ``resid`` is passed it
     is updated in place on acceptance, so callers can keep it current.
     """
-    pair = _draw_swap_pair(state.r, rng)
-    if pair is None:
+    active = np.flatnonzero(state.r == 1)
+    inactive = np.flatnonzero(state.r == 0)
+    if inactive.size == 0:
         return False
-    j, i = pair
+    j = int(active[rng.integers(active.size)])
+    i = int(inactive[rng.integers(inactive.size)])
     log_odds = state_swap_log_odds(state, data, j, i, resid=resid)
     if debug_checks:
         full = state_swap_log_odds(state, data, j, i, full_recompute=True)
@@ -356,7 +346,7 @@ def run_gibbs(
     probe_positions: list[tuple[int, int]] | None = None,
     debug_checks: bool = False,
 ) -> tuple[IdState, GibbsTrace]:
-    """Run the standard sampler and return the final state plus its trace."""
+    """Run the sampler of ``hp.variant`` and return the final state plus its trace."""
     _check_data(data)
     state = init_state(data, hp, rng)
     n = data.shape[1]
@@ -390,71 +380,3 @@ def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyper
     m, n = shape
     return GammaParams(shape=m * n / 2.0 + hp.alpha_sigma, rate=0.5 * rss + hp.beta_sigma)
 
-
-def _propose_swap_vector(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A copy of r with one uniform (active j, inactive i) pair swapped."""
-    out = r.copy()
-    pair = _draw_swap_pair(r, rng)
-    if pair is not None:
-        out[pair[0]] = 0
-        out[pair[1]] = 1
-    return out
-
-
-def run_gibbs_aggressive(
-    data: ObservedMatrix,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-    probe_positions: list[tuple[int, int]] | None = None,
-    debug_checks: bool = False,
-) -> tuple[IdState, GibbsTrace]:
-    """Run the aggressive sampler (gbt variant only).
-
-    Alongside the main state it maintains a proposal state whose weights
-    are resampled against the proposed column selection. Each iteration
-    draws the noise variance, sweeps the main weights and the proposal's
-    (started from the main state's pre-sweep weights), and only then picks
-    between the two states by their likelihood odds and proposes the next
-    swapped selection. Trace semantics are identical to run_gibbs;
-    accepted_swaps counts adoptions of the proposal.
-    """
-    if hp.variant != VARIANT_GBT:
-        raise ConfigurationError("the aggressive sampler supports only the gbt variant")
-    _check_data(data)
-    state = init_state(data, hp, rng)
-    n = data.shape[1]
-    probes = probe_positions if probe_positions is not None else _choose_probes(n, rng)
-    rec = _TraceRecorder(hp.iterations, probes, data.mask)
-
-    r2 = _propose_swap_vector(state.r, rng)
-    has_proposal = hp.k < n
-
-    resid = residual(data.values, state.y, state.r)
-    rss = float(np.sum(resid**2))
-    for _ in range(hp.iterations):
-        p = noise_variance_params_from_rss(rss, data.shape, hp)
-        state.sigma2 = sample_inverse_gamma(p, rng)
-
-        y2 = state.y.copy()
-        resid = _sweep_weights(
-            data.values, state.y, state.sigma2,
-            state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
-        )
-        rss = float(np.sum(resid**2))
-        if has_proposal:
-            resid2 = _sweep_weights(
-                data.values, y2, state.sigma2,
-                state.gtn_mu, state.gtn_tau, hp.a, hp.b, r2, rng,
-            )
-            rss2 = float(np.sum(resid2**2))
-            diff = rss2 - rss
-            log_odds = float(np.clip(-diff / (2.0 * state.sigma2), -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
-            if rng.uniform() < _sigmoid(log_odds):
-                state.r, state.y = r2, y2
-                resid, rss = resid2, rss2
-                rec.swaps += 1
-            r2 = _propose_swap_vector(state.r, rng)
-        rec.record(resid, rss, state)
-        if debug_checks:
-            validate_state(state, data, hp)
-    return state, rec.finish()

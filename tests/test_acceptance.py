@@ -20,7 +20,6 @@ from bayesid.rid import max_magnitude_excess, randomized_id
 from bayesid.sampler import (
     noise_variance_params,
     run_gibbs,
-    run_gibbs_aggressive,
     sample_noise_variance,
     sample_weight_entry,
     sample_weight_mean_entry,
@@ -51,13 +50,13 @@ def _synth_instance(tmp_path, i, noise=0.0):
 
 def test_criterion_1_sampled_weights_always_bounded():
     rng = np.random.default_rng(202)
-    combos = [("gbt", False), ("gbt", True), ("gbtn", False)]
+    variants = ("gbt", "gbtn")
     violations = 0
     for trial in range(100):
         m = int(rng.integers(4, 61))
         n = int(rng.integers(3, 41))
         k = int(rng.integers(1, n + 1))
-        variant, aggressive = combos[trial % 3]
+        variant = variants[trial % 2]
         values = rng.normal(size=(m, n))
         if trial % 5 == 0:
             mask = rng.uniform(size=(m, n)) > 0.2
@@ -66,8 +65,7 @@ def test_criterion_1_sampled_weights_always_bounded():
         else:
             data = ObservedMatrix.fully_observed(values)
         hp = Hyperparameters(k=k, variant=variant, iterations=30, burn_in=5, thinning=2)
-        runner = run_gibbs_aggressive if aggressive else run_gibbs
-        state, trace = runner(data, hp, rng, debug_checks=True)
+        state, trace = run_gibbs(data, hp, rng, debug_checks=True)
         w = extract_canonical(state, data).w
         bounded = (
             np.all(np.abs(state.y) <= 1.0)
@@ -221,31 +219,25 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
 
 def test_criterion_3_exact_recovery_at_true_rank(tmp_path):
     hp5 = dict(k=5, iterations=200, burn_in=50, thinning=5)
-    hits = {"plain": 0, "aggressive": 0}
-    slack = {"plain": 0, "aggressive": 0}
+    hits = 0
+    slack = 0
     for i in range(10):
         data = _synth_instance(tmp_path, i)
         _, tr = run_gibbs(data, Hyperparameters(**hp5), np.random.default_rng(i))
-        hits["plain"] += tr.mse_per_iter.min() <= 1e-3
-        _, tr = run_gibbs_aggressive(data, Hyperparameters(**hp5), np.random.default_rng(i))
-        hits["aggressive"] += tr.mse_per_iter.min() <= 1e-3
+        hits += tr.mse_per_iter.min() <= 1e-3
         hp10 = Hyperparameters(k=10, iterations=200, burn_in=50, thinning=5)
         _, tr = run_gibbs(data, hp10, np.random.default_rng(i))
-        slack["plain"] += tr.mse_per_iter.min() <= 1e-3
-        _, tr = run_gibbs_aggressive(data, hp10, np.random.default_rng(i))
-        slack["aggressive"] += tr.mse_per_iter.min() <= 1e-3
+        slack += tr.mse_per_iter.min() <= 1e-3
     print(
         f"criterion 3 diagnostic (not gated): with run rank 10 instead of 5 the same "
-        f"instances succeed {slack['plain']}/10 (plain) and {slack['aggressive']}/10 "
-        f"(aggressive), so the update kernels are sound and the shortfall is the "
-        f"column-subset search at exactly the true rank"
+        f"instances succeed {slack}/10, so the update kernels are sound and any "
+        f"shortfall is the column-subset search at exactly the true rank"
     )
-    ok = hits["plain"] >= 9 and hits["aggressive"] >= 9
     _report(
         3,
-        ok,
+        hits >= 9,
         f"noise-free minimum MSE <= 1e-3 within 200 iterations at the true rank: "
-        f"plain {hits['plain']}/10, aggressive {hits['aggressive']}/10, need 9/10 each",
+        f"{hits}/10, need 9/10",
     )
 
 
@@ -269,7 +261,7 @@ def test_criterion_5_lower_error_than_randomized_baseline():
         data = ObservedMatrix.fully_observed(a)
         for k in wins:
             hp = Hyperparameters(k=k, iterations=500, burn_in=100, thinning=5)
-            _, tr = run_gibbs_aggressive(data, hp, np.random.default_rng(i))
+            _, tr = run_gibbs(data, hp, np.random.default_rng(i))
             ours = posterior_mean_mse(tr.mse_per_iter, hp.burn_in, hp.thinning)
             base = randomized_id(a, k, np.random.default_rng(i))
             wins[k] += ours < diagnostics.mse(a, base.c, base.w)
@@ -309,14 +301,13 @@ def test_criterion_7_canonical_identity_block_exact():
     a = duplicated_id_matrix(15, 6, 3, np.random.default_rng(51), noise=0.05)
     data = ObservedMatrix.fully_observed(a)
     ok = True
-    for variant, aggressive in (("gbt", False), ("gbt", True), ("gbtn", False)):
+    for variant in ("gbt", "gbtn"):
         hp = Hyperparameters(k=4, variant=variant, iterations=25, burn_in=5, thinning=2)
-        runner = run_gibbs_aggressive if aggressive else run_gibbs
-        state, _ = runner(data, hp, np.random.default_rng(7))
+        state, _ = run_gibbs(data, hp, np.random.default_rng(7))
         res = extract_canonical(state, data)
         ok = ok and np.array_equal(res.w[:, res.j_set], np.eye(hp.k))
         ok = ok and np.array_equal(res.c, data.values[:, res.j_set])
-    _report(7, ok, "W restricted to the kept columns is exactly the identity for all three sampler variants")
+    _report(7, ok, "W restricted to the kept columns is exactly the identity for both sampler variants")
 
 
 def test_criterion_8_probe_chains_mix(tmp_path):

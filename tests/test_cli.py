@@ -125,12 +125,14 @@ class TestDecomposeGibbs:
         for name in ("C.csv", "W.csv", "metadata.json", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_aggressive_flag_renames_method(self, tmp_path):
+    def test_aggressive_options_rejected(self, tmp_path):
         src = _synth(tmp_path)
         out = tmp_path / "ag_out"
-        assert self._run(src, out, "--aggressive") == 0
-        meta = json.loads((out / "metadata.json").read_text())
-        assert meta["method"] == "gbt-aggressive"
+        for flags in (["--aggressive"], ["--method", "gbt-aggressive"]):
+            with pytest.raises(SystemExit) as exc:
+                self._run(src, out, *flags)
+            assert exc.value.code == 2, flags
+            assert not out.exists(), flags
 
     def test_hierarchical_method_runs(self, tmp_path):
         src = _synth(tmp_path)
@@ -146,8 +148,6 @@ class TestErrorExits:
         src = _synth(tmp_path)
         cases = [
             ["decompose", str(src), str(tmp_path / "o"), "--k", "0"],
-            ["decompose", str(src), str(tmp_path / "o"), "--k", "2", "--method", "rid",
-             "--aggressive"],
             ["decompose", str(src), str(tmp_path / "o"), "--k", "2", "--oversample", "2.0"],
             ["decompose", str(src), str(tmp_path / "o1"), "--out", str(tmp_path / "o2"),
              "--k", "2"],

@@ -1,8 +1,9 @@
-"""Gibbs kernels and the two sampling loops.
+"""Gibbs kernels and the sampling loop.
 
 Closed-form conditional parameters are checked against independent
-double-loop oracles; the loops themselves are checked for determinism,
-bound preservation, and recovery behavior on constructed instances.
+double-loop oracles; the loop itself is checked for determinism, bound
+preservation and recovery behavior on constructed instances, and at
+K = 1 against the exact posterior computed by quadrature.
 """
 
 import copy
@@ -10,8 +11,10 @@ import copy
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import logsumexp
 
 from bayesid import sampler
+from bayesid.distributions import _log_interval_mass
 from bayesid.errors import ConfigurationError, InputError
 from bayesid.model import (
     Hyperparameters,
@@ -25,7 +28,6 @@ from bayesid.sampler import (
     _sweep_weights,
     noise_variance_params,
     run_gibbs,
-    run_gibbs_aggressive,
     sample_noise_variance,
     sample_state_vector,
     sample_weight_entry,
@@ -391,7 +393,7 @@ class TestScalarPrior:
     """Under gbt the weight prior is one 0-d (mean, precision) pair that
     broadcasts against y; it must act exactly as N x N zeros and ones."""
 
-    @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
+    @pytest.mark.parametrize("runner", [run_gibbs])
     @pytest.mark.parametrize("shape, k, masked", [
         ((30, 12), 4, False),
         ((20, 15), 5, True),
@@ -479,15 +481,7 @@ class TestRunGibbs:
         state, trace = run_gibbs(data, hp, rng)
         assert trace.mse_per_iter.min() <= 1e-6
 
-    def test_aggressive_equals_plain_when_nothing_to_swap(self):
-        data = ObservedMatrix.fully_observed(np.random.default_rng(191).normal(size=(7, 5)))
-        hp = Hyperparameters(k=5, iterations=40, burn_in=10, thinning=2)
-        _, t_plain = run_gibbs(data, hp, np.random.default_rng(6))
-        _, t_aggr = run_gibbs_aggressive(data, hp, np.random.default_rng(6))
-        npt.assert_array_equal(t_plain.mse_per_iter, t_aggr.mse_per_iter)
-        npt.assert_array_equal(t_plain.sigma2_chain, t_aggr.sigma2_chain)
-
-    @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
+    @pytest.mark.parametrize("runner", [run_gibbs])
     def test_debug_mode_validates_every_iteration(self, runner):
         rng = np.random.default_rng(197)
         a = duplicated_id_matrix(12, 5, 2, rng)
@@ -536,11 +530,70 @@ class TestRunGibbs:
         assert np.all(state.y >= -1.0) and np.all(state.y <= 1.0)
         assert np.all(state.gtn_tau > 0.0)
 
-    def test_aggressive_rejects_hierarchical_variant(self):
-        data = ObservedMatrix.fully_observed(np.random.default_rng(229).normal(size=(4, 4)))
-        hp = Hyperparameters(k=2, variant="gbtn", iterations=5, burn_in=0)
-        with pytest.raises(ConfigurationError):
-            run_gibbs_aggressive(data, hp, np.random.default_rng(0))
+
+def _k1_exact_posterior(a, hp, log_s2):
+    """Exact p(j | A) and E[sigma^2 | A] of the gbt model at K = 1, by quadrature.
+
+    Given the basis column j and sigma^2, the weight of column l is
+    GTN(0, 1) on [a, b] a priori and enters only the likelihood of A[:, l].
+    Integrated out, it leaves a Gaussian term times the interval mass of
+    its conditional, at precision ||a_j||^2 / sigma^2 + 1. sigma^2 is then
+    integrated against its InvGamma prior on the uniform grid ``log_s2``.
+    """
+    m, n = a.shape
+    s2 = np.exp(log_s2)
+    log_mass = np.vectorize(_log_interval_mass)
+    # InvGamma log density up to a constant, plus log sigma^2 for the grid's Jacobian
+    log_prior = -(hp.alpha_sigma + 1.0) * log_s2 - hp.beta_sigma / s2 + log_s2
+    log_joint = np.empty((n, log_s2.size))
+    for j in range(n):
+        tau = a[:, j] @ a[:, j] / s2 + 1.0
+        total = log_prior.copy()
+        for l in range(n):
+            mu = (a[:, j] @ a[:, l]) / s2 / tau
+            total += (
+                -0.5 * m * np.log(2.0 * np.pi * s2) - (a[:, l] @ a[:, l]) / (2.0 * s2)
+                + 0.5 * tau * mu * mu - 0.5 * np.log(tau)
+                + log_mass(np.sqrt(tau) * (hp.a - mu), np.sqrt(tau) * (hp.b - mu))
+                - _log_interval_mass(hp.a, hp.b)
+            )
+        log_joint[j] = total
+    weights = np.exp(log_joint - logsumexp(log_joint))
+    # the grid must hold the whole posterior
+    assert weights[:, [0, -1]].max() < 1e-12
+    return weights.sum(axis=1), float(np.sum(weights * s2))
+
+
+def _batch_means_se(chain, batches=20):
+    """Standard error of a chain's mean from the spread of its batch means."""
+    means = chain[: chain.size // batches * batches].reshape(batches, -1).mean(axis=1)
+    return means.std(ddof=1) / np.sqrt(batches)
+
+
+class TestExactPosterior:
+    def test_k1_column_and_noise_posterior_match_quadrature(self, monkeypatch):
+        a = np.random.default_rng(0).normal(size=(4, 3))
+        hp = Hyperparameters(k=1, iterations=12_000, burn_in=1_000, thinning=1)
+        p_col, mean_s2 = _k1_exact_posterior(a, hp, np.linspace(np.log(1e-4), np.log(1e3), 4001))
+
+        columns = []
+        record = sampler._TraceRecorder.record
+
+        def spy(self, resid, rss, state):
+            columns.append(int(np.flatnonzero(state.r)[0]))
+            return record(self, resid, rss, state)
+
+        monkeypatch.setattr(sampler._TraceRecorder, "record", spy)
+        _, trace = run_gibbs(ObservedMatrix.fully_observed(a), hp, np.random.default_rng(0))
+        kept = np.array(columns[hp.burn_in:])
+        s2 = trace.sigma2_chain[hp.burn_in:]
+        checks = [((kept == j).astype(float), p_col[j], f"p(j={j})") for j in range(3)]
+        checks.append((s2, mean_s2, "E[sigma2]"))
+        for chain, exact, name in checks:
+            se = _batch_means_se(chain)
+            assert abs(chain.mean() - exact) <= 4.0 * se, (
+                f"{name}: sampled {chain.mean():.4f}, exact {exact:.4f}, batch-means SE {se:.4f}"
+            )
 
 
 class TestExactRecovery:
@@ -551,7 +604,7 @@ class TestExactRecovery:
         a = duplicated_id_matrix(30, 10, 5, np.random.default_rng(1000))
         return ObservedMatrix.fully_observed(a)
 
-    @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
+    @pytest.mark.parametrize("runner", [run_gibbs])
     def test_reaches_low_mse_within_200_iterations_at_true_rank(self, runner):
         data = self._instance()
         hp = Hyperparameters(k=5, iterations=200, burn_in=50, thinning=5)
@@ -561,7 +614,7 @@ class TestExactRecovery:
             f"accepted swaps {trace.accepted_swaps}"
         )
 
-    @pytest.mark.parametrize("runner", [run_gibbs, run_gibbs_aggressive])
+    @pytest.mark.parametrize("runner", [run_gibbs])
     def test_reaches_low_mse_with_slack_in_run_rank(self, runner):
         data = self._instance()
         hp = Hyperparameters(k=10, iterations=200, burn_in=50, thinning=5)
