@@ -52,21 +52,22 @@ def main():
     print()
     for pos, rho in sorted(report.autocorrelations.items()):
         name = f"y[{pos[0]},{pos[1]}]"
-        row = "active  " if state.r[pos[0]] == 1 else "inactive"
         if rho is None:
-            print(f"  probe {name:10s} ({row} row) degenerate, chain never moved")
+            print(f"  probe {name:10s} (slot {pos[0]}) degenerate, chain never moved")
         else:
             tail = np.max(np.abs(rho[11:])) if rho.size > 11 else 0.0
-            print(f"  probe {name:10s} ({row} row) max |autocorr| beyond lag 10: {tail:.3f}")
+            print(f"  probe {name:10s} (slot {pos[0]}) max |autocorr| beyond lag 10: {tail:.3f}")
     print()
-    print("The loss plateaus within a handful of iterations, but the probes")
-    print("split into two regimes. A probe in an inactive row is redrawn from")
-    print("its prior every sweep, so it decorrelates immediately. A probe in an")
-    print("active row moves through a conditional that is tightly coupled to")
-    print("every other weight in its row through the shared residual, and that")
-    print("chain can stay correlated for many lags. The verdict reports the")
-    print("worst probes, so one sticky active-row chain is enough to flag a")
-    print("run. The same numbers come from:")
+    print("The loss plateaus within a handful of iterations. Every probe is a")
+    print("weight of a basis column, an entry (slot, column) of Y_J, so each")
+    print("chain moves through a conditional coupled to the other weights of")
+    print("its column through the shared residual; the weights of columns")
+    print("outside the basis are not stored and are not probed. How fast such")
+    print("a chain decorrelates depends on how correlated the basis columns")
+    print("are. The verdict reports the worst probes, so one sticky chain is")
+    print("enough to flag a run. When a swap is accepted, the slot's chain")
+    print("continues with the weights of the incoming column. The same numbers")
+    print("come from:")
     print(f"  bayesid diagnose {out_dir / 'trace.csv'} --burn-in {hp.burn_in}")
 
 

@@ -1,13 +1,16 @@
 """Model configuration and sampler state.
 
-The decomposition approximates a data matrix A (M x N) as A[:, J] @ Y[J]
-where J holds the K basis columns, selected by the binary state vector r,
-and Y holds interpolation weights confined to [a, b]. The basis is read
-from the data through r, so the state keeps no copy of A. Y is stored
-full N x N; rows of Y belonging to inactive columns revert to their prior
-during sampling. The weight prior is GTN(gtn_mu, gtn_tau) on [a, b]: under
-gbt one fixed pair for every entry, held as two 0-d arrays that broadcast
-against Y; under gbtn one pair per entry, held N x N.
+The decomposition approximates a data matrix A (M x N) as A[:, J] @ Y_J
+where J holds the K basis columns and Y_J (K x N) holds interpolation
+weights confined to [a, b]. The state keeps J and Y_J only: the basis is
+read from the data through J, so the state keeps no copy of A, and the
+weights of the N - K columns outside J are not stored. Given J they do
+not enter the likelihood and are independent of everything else, so a
+move that needs one (the incoming row of a column swap) draws it from
+its prior when it needs it. The weight prior is GTN(gtn_mu, gtn_tau) on
+[a, b]: under gbt one fixed pair for every entry, held as two 0-d arrays
+that broadcast against Y_J; under gbtn one pair per entry, held K x N.
+State memory is O(KN).
 """
 
 from __future__ import annotations
@@ -105,17 +108,20 @@ class ObservedMatrix:
 
 @dataclass
 class IdState:
-    """Current Gibbs state: weights, state vector, noise variance, weight priors.
+    """Current Gibbs state: basis columns, their weights, noise variance, weight priors.
 
-    The basis is data.values[:, basis_indices]; ``residual`` forms what
-    the state leaves of the data unexplained. ``y`` is N x N. The prior
-    arrays ``gtn_mu`` and ``gtn_tau`` broadcast against ``y``: 0-d under
-    gbt, N x N under gbtn; read entry (k, l) through
-    ``np.broadcast_to(gtn_mu, y.shape)``.
+    ``j`` holds the K basis column indices in slot order, and row s of
+    ``y`` (K x N) holds the weights of column ``j[s]``; a column swap puts
+    the incoming column and its row in the slot of the outgoing one, so
+    ``j`` is not kept sorted. The basis is ``data.values[:, j]``, and
+    ``residual`` forms what the state leaves of the data unexplained. The
+    prior arrays ``gtn_mu`` and ``gtn_tau`` broadcast against ``y``: 0-d
+    under gbt, K x N under gbtn with rows following the slots; read entry
+    (s, l) through ``np.broadcast_to(gtn_mu, y.shape)``.
     """
 
+    j: np.ndarray
     y: np.ndarray
-    r: np.ndarray
     sigma2: float
     gtn_mu: np.ndarray
     gtn_tau: np.ndarray
@@ -123,77 +129,78 @@ class IdState:
     @property
     def basis_indices(self) -> np.ndarray:
         """Indices of active (kept) columns, ascending."""
-        return np.flatnonzero(self.r == 1)
+        return np.sort(self.j)
 
     @property
     def interpolated_indices(self) -> np.ndarray:
         """Indices of inactive (reconstructed) columns, ascending."""
-        return np.flatnonzero(self.r == 0)
+        inactive = np.ones(self.y.shape[1], dtype=bool)
+        inactive[self.j] = False
+        return np.flatnonzero(inactive)
 
 
-def residual(values: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """values - values[:, J] @ y[J], with J the active columns of the state vector r."""
-    active = np.nonzero(r == 1)[0]
-    return values - values[:, active] @ y[active]
+def residual(values: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """values - values[:, j] @ y, with j the basis columns in the slot order of y's rows."""
+    return values - values[:, j] @ y
 
 
-def sample_prior_rows(gtn_mu, gtn_tau, rows, n, a, b, rng: np.random.Generator) -> np.ndarray:
-    """Draw the weight rows listed in ``rows`` from their prior, as one len(rows) x n block.
+def sample_prior_rows(hp: Hyperparameters, count: int, n: int, rng: np.random.Generator):
+    """Draw ``count`` weight rows of length n, with their prior parameters, from the joint prior.
 
-    A 0-d prior is passed to the GTN sampler as it is, so its standardized
-    bounds are computed once; an N x N prior is cut down to ``rows``.
+    Returns (y, gtn_mu, gtn_tau). Under gbt the prior is the fixed 0-d
+    pair (0, 1), which the GTN sampler takes as it is, so its standardized
+    bounds are computed once. Under gbtn each entry's mean and precision
+    are drawn from the normal-Gamma hyper-prior first (means, then
+    precisions, then weights), each count x n.
     """
-    if np.ndim(gtn_mu) == 2:
-        gtn_mu, gtn_tau = gtn_mu[rows], gtn_tau[rows]
-    return sample_gtn_array(gtn_mu, gtn_tau, a, b, rng, size=(len(rows), n))
+    if hp.variant == VARIANT_GBTN:
+        gtn_mu = rng.normal(hp.mu_mu, 1.0 / np.sqrt(hp.tau_mu), size=(count, n))
+        gtn_tau = rng.gamma(hp.alpha_t, 1.0 / hp.beta_t, size=(count, n))
+        gtn_tau = np.maximum(gtn_tau, np.finfo(float).tiny)
+    else:
+        gtn_mu = np.array(0.0)
+        gtn_tau = np.array(1.0)
+    y = sample_gtn_array(gtn_mu, gtn_tau, hp.a, hp.b, rng, size=(count, n))
+    return y, gtn_mu, gtn_tau
 
 
 def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator) -> IdState:
     """Build the initial state: a dominant column set, prior-drawn weights.
 
-    The state vector selects a dominant K-column set of the zero-filled
-    data (``linalg.dominant_columns``): the first K pivots of a
-    column-pivoted QR, exchanged until every column's least-squares weights
-    on the set lie in [-1, 1]. On noise-free data of rank K such a set gives
-    an exact decomposition inside the default weight bounds. The choice is
-    deterministic and draws no random numbers. Y is drawn entrywise from its
-    weight prior (no identity pattern imposed), and the noise variance is
-    one draw from its prior, floored at 1e-6. Y is N x N whatever the row
-    count M; the weight prior is a 0-d pair (0, 1) under gbt and is drawn
-    N x N from its hyper-prior under gbtn.
+    The basis is a dominant K-column set of the zero-filled data
+    (``linalg.dominant_columns``), in ascending order: the first K pivots
+    of a column-pivoted QR, exchanged until every column's least-squares
+    weights on the set lie in [-1, 1]. On noise-free data of rank K such a
+    set gives an exact decomposition inside the default weight bounds. The
+    choice is deterministic and draws no random numbers. Y_J (K x N) and,
+    under gbtn, its K x N prior arrays are drawn from the joint prior by
+    ``sample_prior_rows`` (no identity pattern imposed), and the noise
+    variance is one draw from its prior, floored at 1e-6.
     """
     n = data.shape[1]
     if hp.k > n:
         raise ConfigurationError(f"k={hp.k} exceeds the column count {n}")
 
-    r = np.zeros(n, dtype=np.int8)
-    r[dominant_columns(data.values, hp.k)] = 1
-
-    if hp.variant == VARIANT_GBTN:
-        gtn_mu = rng.normal(hp.mu_mu, 1.0 / np.sqrt(hp.tau_mu), size=(n, n))
-        gtn_tau = rng.gamma(hp.alpha_t, 1.0 / hp.beta_t, size=(n, n))
-        gtn_tau = np.maximum(gtn_tau, np.finfo(float).tiny)
-    else:
-        gtn_mu = np.array(0.0)
-        gtn_tau = np.array(1.0)
-
-    y = sample_prior_rows(gtn_mu, gtn_tau, np.arange(n), n, hp.a, hp.b, rng)
+    j = dominant_columns(data.values, hp.k).astype(np.intp)
+    y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)
 
     sigma2 = sample_inverse_gamma(GammaParams(hp.alpha_sigma, hp.beta_sigma), rng)
     sigma2 = max(sigma2, _SIGMA2_FLOOR)
 
-    return IdState(y=y, r=r, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
+    return IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
 
 
 def validate_state(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> None:
     """Structural invariant check, run every iteration in debug mode."""
     n = data.shape[1]
-    if state.y.shape != (n, n) or state.r.shape != (n,):
-        raise ValueError("state array shapes do not match the data")
-    if not np.all((state.r == 0) | (state.r == 1)):
-        raise ValueError("state vector entries must be 0 or 1")
-    if int(state.r.sum()) != hp.k:
-        raise ValueError(f"state vector has {int(state.r.sum())} active columns, expected {hp.k}")
+    if state.j.shape != (hp.k,):
+        raise ValueError(f"state holds {state.j.size} basis columns, expected {hp.k}")
+    if state.y.shape != (hp.k, n):
+        raise ValueError(f"y has shape {state.y.shape}, expected {(hp.k, n)}")
+    if not np.issubdtype(state.j.dtype, np.integer):
+        raise ValueError("basis indices must be integers")
+    if np.any(state.j < 0) or np.any(state.j >= n) or np.unique(state.j).size != state.j.size:
+        raise ValueError(f"basis indices must be distinct columns in [0, {n})")
     if np.any(state.y < hp.a) or np.any(state.y > hp.b):
         raise ValueError("y entries fall outside the weight bounds")
     if not (np.isfinite(state.sigma2) and state.sigma2 > 0):

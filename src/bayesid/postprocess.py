@@ -1,10 +1,10 @@
 """Canonical form of a sampled decomposition.
 
-A sampler state holds the state vector and the full weight matrix Y, and
-no basis. The canonical interpolative form reads C = A[:, j_set] off the
-data, keeps only the rows of Y of the selected columns, and pins
-W[:, j_set] to the exact identity, which the sampled rows approach but
-never hit exactly.
+A sampler state holds the basis column indices J, in slot order, and
+their weight rows Y_J, and no basis. The canonical interpolative form
+sorts J into j_set, reads C = A[:, j_set] off the data, orders the rows
+of Y_J to match, and pins W[:, j_set] to the exact identity, which the
+sampled rows approach but never hit exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .model import IdState, ObservedMatrix
 class CanonicalId:
     """C = A[:, j_set] and weights W with W[:, j_set] the exact identity.
 
-    ``w_unconstrained`` keeps the corresponding rows of Y as sampled,
+    ``w_unconstrained`` keeps the corresponding rows of Y_J as sampled,
     before the identity was enforced, for diagnostics.
     """
 
@@ -33,12 +33,13 @@ class CanonicalId:
 def extract_canonical(state: IdState, data: ObservedMatrix) -> CanonicalId:
     """Read the canonical (C, W) pair off a sampler state.
 
-    Idempotent in effect: if the selected rows of Y already hold the exact
+    Idempotent in effect: if the rows of Y_J already hold the exact
     identity pattern, W comes out unchanged.
     """
-    j_set = state.basis_indices
-    c = data.values[:, j_set].copy()
-    w_unconstrained = state.y[j_set, :].copy()
+    order = np.argsort(state.j)
+    j_set = state.j[order]
+    c = data.values[:, j_set]
+    w_unconstrained = state.y[order]
     w = w_unconstrained.copy()
     w[:, j_set] = np.eye(j_set.size)
-    return CanonicalId(j_set=j_set.copy(), c=c, w=w, w_unconstrained=w_unconstrained)
+    return CanonicalId(j_set=j_set, c=c, w=w, w_unconstrained=w_unconstrained)

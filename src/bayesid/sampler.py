@@ -1,22 +1,31 @@
 """Gibbs samplers for the magnitude-bounded interpolative decomposition.
 
 Each iteration follows the same scan: a noise-variance draw, a full sweep
-over the weight matrix Y (plus, for the hierarchical variant, its
-per-entry prior means and precisions), and only then one swap proposal on
-the binary state vector, so no swap is scored against prior-drawn weights
-of the active rows.
+over the weights Y_J of the K basis columns (plus, for the hierarchical
+variant, their per-entry prior means and precisions), and only then one
+swap proposal on the basis, so no swap is scored against prior-drawn
+weights of the basis rows.
 
-The weight sweep works in Gram form: from the K basis columns C it forms
-G = C^T C and P = C^T A, updates each active row of Y from them in O(KN)
-without reading the M x N residual, and rebuilds the residual once at
-the end. A sweep costs O(KMN) in two BLAS-3 products plus O(K^2 N) in the
-row loop, on top of the prior redraws of the N - K inactive rows. The
-loss is summed once per iteration and shared by the trace and the next
-noise-variance draw.
+The loop never forms the M x N residual on fully observed input. It keeps
+the sufficient statistics G = C^T C and P = C^T A of the basis C = A[:, J]
+for the whole run (as in Schmidt, Winther & Hansen's Bayesian NMF sampler,
+ICA 2009):
 
-All conditionals are evaluated in the log domain. The swap odds use an
-incremental update, two matrix-vector products with the residual per
-proposal; debug mode cross-checks it against a full recomputation.
+* a weight row update reads ``P[s] - G[s] @ Y_J``, O(KN);
+* the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N);
+* a swap proposal reads x^T R as ``x^T A - (x^T C) @ Y_J``, O(MN);
+* an accepted swap recomputes one row and column of G and one row of P
+  from the data, O(MN), so the statistics never drift.
+
+An iteration therefore costs O(K^2 N + MN), plus O(KMN) on masked input,
+where ``C @ Y_J`` is formed once for the observed-entry loss. The rows of
+the N - K columns outside the basis are not stored: the swap draws the
+incoming row from its prior when it proposes it.
+
+All conditionals are evaluated in the log domain. The entrywise kernels
+(``weight_entry_params`` and the like) read the residual directly and
+serve as reference oracles; debug mode cross-checks the kept statistics,
+the loss and the swap odds against full recomputations every iteration.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ from .model import (
 
 LOG_ODDS_CLAMP = 700.0
 
+# Relative tolerance of the debug cross-checks of G, P and the Gram loss.
+_GRAM_RTOL = 1e-9
+
 _N_PROBES = 5
 
 
@@ -51,8 +63,9 @@ _N_PROBES = 5
 class GibbsTrace:
     """Per-iteration series recorded by a sampler run.
 
-    ``y_entry_chains`` maps a probed (row, column) position of Y to the
-    chain of values it took, one entry per iteration. ``accepted_swaps`` is
+    ``y_entry_chains`` maps a probed (slot, column) position of Y_J to the
+    chain of values it took, one entry per iteration; the slot's column
+    changes when a swap is accepted. ``accepted_swaps`` is
     None for a trace read back from a file, which does not record swaps.
     """
 
@@ -74,38 +87,32 @@ def _sigmoid(log_odds: float) -> float:
 # conditional posteriors, one entry at a time (reference kernels)
 
 
-def weight_entry_params(state: IdState, data: ObservedMatrix, k: int, l: int) -> tuple[float, float]:
-    """Posterior (mean, precision) of y[k, l] given everything else.
-
-    When column k is inactive the likelihood contributes nothing and the
-    parameters are the prior's for that entry.
-    """
-    prior_mu = float(np.broadcast_to(state.gtn_mu, state.y.shape)[k, l])
-    prior_tau = float(np.broadcast_to(state.gtn_tau, state.y.shape)[k, l])
-    if state.r[k] != 1:
-        return prior_mu, prior_tau
-    x_k = data.values[:, k]
-    s = float(x_k @ x_k)
-    # residual of column l with entry (k, l)'s own contribution removed
-    partial = residual(data.values, state.y, state.r)[:, l] + x_k * state.y[k, l]
-    tau_post = s / state.sigma2 + prior_tau
-    mu_post = (float(x_k @ partial) / state.sigma2 + prior_tau * prior_mu) / tau_post
+def weight_entry_params(state: IdState, data: ObservedMatrix, s: int, l: int) -> tuple[float, float]:
+    """Posterior (mean, precision) of y[s, l], the weight of basis slot s on column l."""
+    prior_mu = float(np.broadcast_to(state.gtn_mu, state.y.shape)[s, l])
+    prior_tau = float(np.broadcast_to(state.gtn_tau, state.y.shape)[s, l])
+    x_s = data.values[:, state.j[s]]
+    ss = float(x_s @ x_s)
+    # residual of column l with entry (s, l)'s own contribution removed
+    partial = residual(data.values, state.y, state.j)[:, l] + x_s * state.y[s, l]
+    tau_post = ss / state.sigma2 + prior_tau
+    mu_post = (float(x_s @ partial) / state.sigma2 + prior_tau * prior_mu) / tau_post
     return mu_post, tau_post
 
 
 def sample_weight_entry(
-    state: IdState, data: ObservedMatrix, k: int, l: int, hp: Hyperparameters, rng: np.random.Generator
+    state: IdState, data: ObservedMatrix, s: int, l: int, hp: Hyperparameters, rng: np.random.Generator
 ) -> float:
-    """Gibbs update of the single weight y[k, l], in place."""
-    mu_post, tau_post = weight_entry_params(state, data, k, l)
+    """Gibbs update of the single weight y[s, l], in place."""
+    mu_post, tau_post = weight_entry_params(state, data, s, l)
     draw = float(sample_gtn_array(mu_post, tau_post, hp.a, hp.b, rng).reshape(()))
-    state.y[k, l] = draw
+    state.y[s, l] = draw
     return draw
 
 
 def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> GammaParams:
     """Inverse-Gamma posterior parameters for sigma^2 at the current factors."""
-    rss = float(np.sum(residual(data.values, state.y, state.r) ** 2))
+    rss = float(np.sum(residual(data.values, state.y, state.j) ** 2))
     return noise_variance_params_from_rss(rss, data.shape, hp)
 
 
@@ -153,45 +160,94 @@ def sample_weight_precision_entry(
 
 
 # ---------------------------------------------------------------------------
+# Gram statistics
+
+
+def gram_statistics(values: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = C^T C (K x K) and P = C^T A (K x N) of the basis C = values[:, j], formed afresh."""
+    c = values[:, j]
+    return c.T @ c, c.T @ values
+
+
+def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray) -> float:
+    """||A - C Y_J||^2 from the Gram statistics: ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>.
+
+    ``a_sq`` is ||A||^2. The three terms cancel near an exact fit, leaving
+    a rounding error of order eps * (||A||^2 + ||C Y_J||^2); the result is
+    floored at 0. The error does not accumulate across iterations, because
+    each evaluation reads the current statistics, which never drift.
+    """
+    rss = a_sq - 2.0 * float(np.vdot(y, proj)) + float(np.vdot(y, gram @ y))
+    return max(rss, 0.0)
+
+
+def _refresh_gram_slot(values, j, s, gram, proj) -> None:
+    """Recompute slot s of G (row and column) and of P from the data, in place: O(MN)."""
+    proj[s] = values[:, j[s]] @ values
+    gram[s] = proj[s, j]
+    gram[:, s] = gram[s]
+
+
+def _check_gram_statistics(values, state: IdState, gram, proj, a_sq: float, rss: float) -> None:
+    """Debug cross-check of the kept G, P and Gram loss against fresh recomputations."""
+    fresh_gram, fresh_proj = gram_statistics(values, state.j)
+    for name, kept, fresh in (("G", gram, fresh_gram), ("P", proj, fresh_proj)):
+        if not np.allclose(kept, fresh, rtol=_GRAM_RTOL, atol=_GRAM_RTOL * a_sq):
+            raise NumericalError(f"kept Gram statistic {name} disagrees with its recomputation")
+    fresh_rss = float(np.sum(residual(values, state.y, state.j) ** 2))
+    scale = a_sq + float(np.vdot(state.y, fresh_gram @ state.y))
+    if abs(rss - fresh_rss) > _GRAM_RTOL * scale:
+        raise NumericalError(f"Gram loss {rss} disagrees with the residual's {fresh_rss}")
+
+
+# ---------------------------------------------------------------------------
 # state-vector moves
 
 
 def state_swap_log_odds(
     state: IdState,
     data: ObservedMatrix,
-    j: int,
+    s: int,
     i: int,
-    resid: np.ndarray | None = None,
+    y_in: np.ndarray,
     full_recompute: bool = False,
 ) -> float:
-    """Log odds of deactivating basis column j in favor of column i.
+    """Log odds of replacing basis column j[s] and its weights by column i with weights y_in.
 
     The result is the log likelihood ratio of the swapped state to the
     current one (the uniform move prior cancels), clamped to +-700. The
-    incremental path updates only the terms the swap touches; the full
-    path rebuilds both residuals and exists as a cross-check.
+    incremental path reads only the terms the swap touches, in O(MN) and
+    without the residual; the full path rebuilds both residuals and exists
+    as a cross-check.
     """
-    if state.r[j] != 1 or state.r[i] != 0:
-        raise ConfigurationError(f"swap requires an active j and inactive i, got r[{j}]={state.r[j]}, r[{i}]={state.r[i]}")
+    k, n = state.y.shape
+    if not (0 <= s < k and 0 <= i < n) or np.any(state.j == i):
+        raise ConfigurationError(
+            f"swap requires a basis slot in [0, {k}) and a column outside the basis, "
+            f"got slot {s}, column {i}"
+        )
+    values = data.values
+    y_in = np.asarray(y_in, dtype=float)
     if full_recompute:
-        r_swap = state.r.copy()
-        r_swap[j], r_swap[i] = 0, 1
-        rss_now = float(np.sum(residual(data.values, state.y, state.r) ** 2))
-        rss_swap = float(np.sum(residual(data.values, state.y, r_swap) ** 2))
+        j_swap, y_swap = state.j.copy(), state.y.copy()
+        j_swap[s], y_swap[s] = i, y_in
+        rss_now = float(np.sum(residual(values, state.y, state.j) ** 2))
+        rss_swap = float(np.sum(residual(values, y_swap, j_swap) ** 2))
         diff = rss_swap - rss_now
     else:
-        if resid is None:
-            resid = residual(data.values, state.y, state.r)
-        # removing column j adds back its contribution, activating i removes
-        # i's: delta = x_j y_j^T - x_i y_i^T = xs @ ys.T / 2. Written in sums
-        # and differences, a swap between twin columns (x_i = +-x_j) does not
+        # removing column j[s] adds back its contribution, activating i removes
+        # i's: delta = x_out y_out^T - x_i y_in^T = xs @ ys / 2. Written in sums
+        # and differences, a swap between twin columns (x_i = +-x_out) does not
         # cancel in rounding, and delta itself is never formed.
-        x_j, x_i = data.values[:, j], data.values[:, i]
-        y_j, y_i = state.y[j, :], state.y[i, :]
-        xs = np.stack([x_j + x_i, x_j - x_i], axis=1)
-        ys = np.stack([y_j - y_i, y_j + y_i], axis=1)
+        x_out, x_i = values[:, state.j[s]], values[:, i]
+        y_out = state.y[s]
+        xs = np.stack([x_out + x_i, x_out - x_i], axis=1)
+        ys = np.stack([y_out - y_in, y_out + y_in])
+        # xs^T R = xs^T A - (xs^T C) Y_J, and xs^T C is a column subset of xs^T A
+        xa = xs.T @ values
+        xr = xa - xa[:, state.j] @ state.y
         # 2 <resid, delta> + ||delta||^2
-        diff = float(np.sum(xs * (resid @ ys))) + float(np.sum((xs.T @ xs) * (ys.T @ ys))) / 4.0
+        diff = float(np.sum(xr * ys)) + float(np.sum((xs.T @ xs) * (ys @ ys.T))) / 4.0
     log_odds = -diff / (2.0 * state.sigma2)
     return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
 
@@ -199,36 +255,50 @@ def state_swap_log_odds(
 def sample_state_vector(
     state: IdState,
     data: ObservedMatrix,
+    hp: Hyperparameters,
     rng: np.random.Generator,
-    resid: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+    proj: np.ndarray | None = None,
     debug_checks: bool = False,
 ) -> bool:
-    """One uniform (j, i) swap proposal, accepted with odds/(1 + odds).
+    """One uniform (slot, column) swap proposal, accepted with odds/(1 + odds).
+
+    The outgoing column sits in a uniform basis slot s, the incoming one is
+    a uniform column outside the basis. The incoming row (under gbtn with
+    its prior means and precisions) is drawn from the joint prior now, when
+    the swap is proposed: given the basis, the rows of the other columns are
+    independent of everything else and distributed as their prior, so this
+    is the same law as redrawing every such row each sweep. On acceptance
+    the incoming column and its row take slot s; the outgoing row and, under
+    gbtn, its (mu, tau) are discarded, since a column that re-enters later
+    draws a fresh row. When ``gram`` and ``proj`` are passed, slot s of them
+    is recomputed on acceptance, so callers can keep them current.
 
     Returns whether the swap was accepted. With K = N there is nothing to
-    swap and the state is returned unchanged. When ``resid`` is passed it
-    is updated in place on acceptance, so callers can keep it current.
+    swap, no random number is drawn and the state is returned unchanged.
     """
-    active = np.flatnonzero(state.r == 1)
-    inactive = np.flatnonzero(state.r == 0)
+    inactive = state.interpolated_indices
     if inactive.size == 0:
         return False
-    j = int(active[rng.integers(active.size)])
+    s = int(rng.integers(state.j.size))
     i = int(inactive[rng.integers(inactive.size)])
-    log_odds = state_swap_log_odds(state, data, j, i, resid=resid)
+    y_in, mu_in, tau_in = sample_prior_rows(hp, 1, state.y.shape[1], rng)
+    log_odds = state_swap_log_odds(state, data, s, i, y_in[0])
     if debug_checks:
-        full = state_swap_log_odds(state, data, j, i, full_recompute=True)
+        full = state_swap_log_odds(state, data, s, i, y_in[0], full_recompute=True)
         if abs(log_odds - full) > 1e-8 * max(1.0, abs(full)):
             raise NumericalError(
                 f"incremental swap odds {log_odds} disagree with full recomputation {full}"
             )
     accept = rng.uniform() < _sigmoid(log_odds)
     if accept:
-        if resid is not None:
-            resid += np.outer(data.values[:, j], state.y[j, :])
-            resid -= np.outer(data.values[:, i], state.y[i, :])
-        state.r[j] = 0
-        state.r[i] = 1
+        state.j[s] = i
+        state.y[s] = y_in[0]
+        if np.ndim(state.gtn_mu):
+            state.gtn_mu[s] = mu_in
+            state.gtn_tau[s] = tau_in
+        if gram is not None:
+            _refresh_gram_slot(data.values, state.j, s, gram, proj)
     return accept
 
 
@@ -236,46 +306,25 @@ def sample_state_vector(
 # full sweeps
 
 
-def _sweep_weights(values, y, sigma2, gtn_mu, gtn_tau, a, b, r, rng):
-    """One systematic Gibbs scan over every entry of y, in place.
+def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
+    """One systematic Gibbs scan over every entry of Y_J, in place.
 
-    Active rows are updated one at a time in ascending column order; within
-    a row the entries are conditionally independent, so each row is drawn
-    in one vectorized call. The scan works in Gram form: with the basis
-    C = values[:, J], G = C^T C and P = C^T values, the likelihood term of
-    row k, x_k^T (resid + x_k y_k), is P[k] - G[k] @ Y_J + G[k, k] Y_J[k],
-    so a row update costs O(KN) and never touches the M x N residual. Rows
-    of inactive columns do not enter the likelihood and revert to their
-    prior, drawn as one block by ``model.sample_prior_rows``. The prior
-    arrays may be 0-d (gbt) or N x N (gbtn); rows read them through
-    ``np.broadcast_to``.
-
-    Cost: O(KMN) in two BLAS-3 products (forming P, and rebuilding the
-    residual once at the end), plus O(K^2 N) in the row loop, plus O(N^2)
-    GTN draws for the inactive rows; under gbt those draws compute their
-    standardized bounds once, not per entry. G and P are formed afresh
-    every sweep, so a column swap invalidates nothing.
-
-    Returns the residual of the updated y, as ``model.residual`` forms it.
+    Rows are updated one at a time in slot order; within a row the entries
+    are conditionally independent, so each row is drawn in one vectorized
+    call. With G = C^T C and P = C^T A kept by the caller, the likelihood
+    term of row s, x_s^T (resid + x_s y_s), is P[s] - G[s] @ Y_J +
+    G[s, s] Y_J[s], so a row update costs O(KN) and the sweep O(K^2 N),
+    reading neither the data nor the residual. The prior arrays may be 0-d
+    (gbt) or K x N (gbtn); rows read them through ``np.broadcast_to``.
     """
-    active = np.flatnonzero(r == 1)
     prior_mu = np.broadcast_to(gtn_mu, y.shape)
     prior_tau = np.broadcast_to(gtn_tau, y.shape)
-    c = values[:, active]
-    gram = c.T @ c
-    proj = c.T @ values
-    y_active = y[active]
-    for row, k in enumerate(active):
-        s = gram[row, row]
-        like = proj[row] - gram[row] @ y_active + s * y_active[row]
-        tau_post = s / sigma2 + prior_tau[k]
-        mu_post = (like / sigma2 + prior_tau[k] * prior_mu[k]) / tau_post
-        y_active[row] = sample_gtn_array(mu_post, tau_post, a, b, rng)
-        y[k, :] = y_active[row]
-    inactive = np.flatnonzero(r == 0)
-    if inactive.size:
-        y[inactive] = sample_prior_rows(gtn_mu, gtn_tau, inactive, y.shape[1], a, b, rng)
-    return values - c @ y_active
+    for s in range(y.shape[0]):
+        g = gram[s, s]
+        like = proj[s] - gram[s] @ y + g * y[s]
+        tau_post = g / sigma2 + prior_tau[s]
+        mu_post = (like / sigma2 + prior_tau[s] * prior_mu[s]) / tau_post
+        y[s] = sample_gtn_array(mu_post, tau_post, a, b, rng)
 
 
 def _update_weight_priors(state: IdState, hp: Hyperparameters, rng: np.random.Generator) -> None:
@@ -293,10 +342,17 @@ def _update_weight_priors(state: IdState, hp: Hyperparameters, rng: np.random.Ge
     state.gtn_tau = np.maximum(rng.gamma(hp.alpha_t + 0.5, 1.0 / rate), np.finfo(float).tiny)
 
 
-def _choose_probes(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    count = min(_N_PROBES, n * n)
-    flat = rng.choice(n * n, size=count, replace=False)
+def _choose_probes(k: int, n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Up to five distinct (slot, column) positions of Y_J, uniform over K x N."""
+    count = min(_N_PROBES, k * n)
+    flat = rng.choice(k * n, size=count, replace=False)
     return [(int(f) // n, int(f) % n) for f in flat]
+
+
+def _check_probes(probes, k: int, n: int) -> None:
+    for s, l in probes:
+        if not (0 <= s < k and 0 <= l < n):
+            raise ConfigurationError(f"probe position ({s}, {l}) lies outside the {k} x {n} weights Y_J")
 
 
 def _check_data(data: ObservedMatrix) -> None:
@@ -305,27 +361,36 @@ def _check_data(data: ObservedMatrix) -> None:
 
 
 class _TraceRecorder:
-    def __init__(self, iterations: int, probes: list[tuple[int, int]], mask: np.ndarray):
+    def __init__(self, iterations: int, probes: list[tuple[int, int]], data: ObservedMatrix):
         self.mse = np.empty(iterations)
         self.mse_obs = np.empty(iterations)
         self.sigma2 = np.empty(iterations)
         self.probes = probes
         self.probe_vals = np.empty((len(probes), iterations))
+        self.values = data.values
         # a fully observed mask changes no residual, so the observed loss is the loss
-        self.mask = None if mask.all() else mask
-        self.obs_count = int(mask.sum())
+        self.mask = None if data.mask.all() else data.mask
+        self.obs_count = int(data.mask.sum())
         self.swaps = 0
         self.count = 0
 
-    def record(self, resid: np.ndarray, rss: float, state: IdState) -> None:
-        """Record one iteration; ``rss`` is ``np.sum(resid**2)``, shared with the next sigma^2 draw."""
+    def record(self, state: IdState, rss: float) -> None:
+        """Record one iteration; ``rss`` is the Gram loss, shared with the next sigma^2 draw.
+
+        Only masked input forms the residual, once, for the observed-entry loss.
+        """
         t = self.count
-        self.mse[t] = rss / resid.size
-        rss_obs = rss if self.mask is None else float(np.sum((resid * self.mask) ** 2))
+        self.mse[t] = rss / self.values.size
+        if self.mask is None:
+            rss_obs = rss
+        else:
+            resid = residual(self.values, state.y, state.j)
+            resid *= self.mask
+            rss_obs = float(np.vdot(resid, resid))
         self.mse_obs[t] = rss_obs / self.obs_count
         self.sigma2[t] = state.sigma2
-        for p, (k, l) in enumerate(self.probes):
-            self.probe_vals[p, t] = state.y[k, l]
+        for p, (s, l) in enumerate(self.probes):
+            self.probe_vals[p, t] = state.y[s, l]
         self.count += 1
 
     def finish(self) -> GibbsTrace:
@@ -346,37 +411,43 @@ def run_gibbs(
     probe_positions: list[tuple[int, int]] | None = None,
     debug_checks: bool = False,
 ) -> tuple[IdState, GibbsTrace]:
-    """Run the sampler of ``hp.variant`` and return the final state plus its trace."""
-    _check_data(data)
-    state = init_state(data, hp, rng)
-    n = data.shape[1]
-    probes = probe_positions if probe_positions is not None else _choose_probes(n, rng)
-    rec = _TraceRecorder(hp.iterations, probes, data.mask)
+    """Run the sampler of ``hp.variant`` and return the final state plus its trace.
 
-    resid = residual(data.values, state.y, state.r)
-    rss = float(np.sum(resid**2))
+    ``probe_positions`` are (slot, column) positions of Y_J, in [0, K) x
+    [0, N); by default five distinct ones are drawn uniformly. An entry
+    outside that range raises ConfigurationError before sampling.
+    """
+    _check_data(data)
+    n = data.shape[1]
+    if probe_positions is not None:
+        _check_probes(probe_positions, hp.k, n)
+    state = init_state(data, hp, rng)
+    probes = probe_positions if probe_positions is not None else _choose_probes(hp.k, n, rng)
+    rec = _TraceRecorder(hp.iterations, probes, data)
+
+    values = data.values
+    a_sq = float(np.einsum("ij,ij->", values, values))
+    gram, proj = gram_statistics(values, state.j)
+    rss = gram_rss(a_sq, state.y, gram, proj)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(rss, data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
-        resid = _sweep_weights(
-            data.values, state.y, state.sigma2,
-            state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
+        _sweep_weights(
+            state.y, gram, proj, state.sigma2,
+            state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng,
         )
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
-        if sample_state_vector(state, data, rng, resid=resid, debug_checks=debug_checks):
+        if sample_state_vector(state, data, hp, rng, gram=gram, proj=proj, debug_checks=debug_checks):
             rec.swaps += 1
-        rss = float(np.sum(resid**2))
-        rec.record(resid, rss, state)
+        rss = gram_rss(a_sq, state.y, gram, proj)
+        rec.record(state, rss)
         if debug_checks:
             validate_state(state, data, hp)
-            fresh = residual(data.values, state.y, state.r)
-            if not np.allclose(resid, fresh, atol=1e-8):
-                raise NumericalError("maintained residual drifted from recomputation")
+            _check_gram_statistics(values, state, gram, proj, a_sq, rss)
     return state, rec.finish()
 
 
 def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyperparameters) -> GammaParams:
     m, n = shape
     return GammaParams(shape=m * n / 2.0 + hp.alpha_sigma, rate=0.5 * rss + hp.beta_sigma)
-

@@ -84,21 +84,22 @@ def _gbtn_frozen(seed):
     return frozen_state(m, n, k, rng, variant="gbtn")
 
 
-def _x(state, data, i, k):
-    return data.values[i, k] if state.r[k] == 1 else 0.0
+def _x(state, data, i, s):
+    """Entry i of the basis column in slot s."""
+    return data.values[i, state.j[s]]
 
 
-def _entry_params_oracle(state, data, k, l):
-    m, n = data.shape
-    tau = sum(_x(state, data, i, k) ** 2 for i in range(m)) / state.sigma2 + state.gtn_tau[k, l]
+def _entry_params_oracle(state, data, s, l):
+    m = data.shape[0]
+    tau = sum(_x(state, data, i, s) ** 2 for i in range(m)) / state.sigma2 + state.gtn_tau[s, l]
     acc = 0.0
     for i in range(m):
         partial = data.values[i, l]
-        for j in range(n):
-            if j != k:
-                partial -= _x(state, data, i, j) * state.y[j, l]
-        acc += _x(state, data, i, k) * partial
-    mu = (acc / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau
+        for t in range(state.j.size):
+            if t != s:
+                partial -= _x(state, data, i, t) * state.y[t, l]
+        acc += _x(state, data, i, s) * partial
+    mu = (acc / state.sigma2 + state.gtn_tau[s, l] * state.gtn_mu[s, l]) / tau
     return mu, tau
 
 
@@ -107,7 +108,7 @@ def _rss_oracle(state, data):
     total = 0.0
     for i in range(m):
         for j in range(n):
-            pred = sum(_x(state, data, i, q) * state.y[q, j] for q in range(n))
+            pred = sum(_x(state, data, i, t) * state.y[t, j] for t in range(state.j.size))
             total += (data.values[i, j] - pred) ** 2
     return total
 
@@ -132,7 +133,7 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         data, hp, state = _gbtn_frozen(seed)
         n = data.shape[1]
         pos_rng = np.random.default_rng(seed + 7)
-        k = int(pos_rng.integers(n))
+        k = int(pos_rng.integers(state.j.size))  # a slot of Y_J
         l = int(pos_rng.integers(n))
         mu, tau = weight_entry_params(state, data, k, l)
         mu_o, tau_o = _entry_params_oracle(state, data, k, l)
@@ -164,7 +165,7 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         # truncated-normal weight kernel, at a position whose parent normal
         # puts nonnegligible mass inside [-1, 1]
         pos = None
-        for k in range(n):
+        for k in range(state.j.size):
             for l in range(n):
                 mu, tau = weight_entry_params(state, data, k, l)
                 sd = tau ** -0.5

@@ -84,7 +84,7 @@ class TestInitState:
         rng = np.random.default_rng(0)
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 4)))
         state = init_state(data, Hyperparameters(k=4), rng)
-        assert state.r.sum() == 4
+        assert state.j.size == 4
         npt.assert_array_equal(state.basis_indices, np.arange(4))
         assert state.interpolated_indices.size == 0
 
@@ -92,7 +92,7 @@ class TestInitState:
         rng = np.random.default_rng(1)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 3)))
         state = init_state(data, Hyperparameters(k=1), rng)
-        assert state.r.sum() == 1
+        assert state.j.size == 1
         assert state.interpolated_indices.size == 2
 
     def test_k_exceeding_columns_raises(self):
@@ -105,7 +105,7 @@ class TestInitState:
         hp = Hyperparameters(k=2, variant="gbtn")
         s1 = init_state(data, hp, np.random.default_rng(42))
         s2 = init_state(data, hp, np.random.default_rng(42))
-        npt.assert_array_equal(s1.r, s2.r)
+        npt.assert_array_equal(s1.j, s2.j)
         npt.assert_array_equal(s1.y, s2.y)
         npt.assert_array_equal(s1.gtn_mu, s2.gtn_mu)
         npt.assert_array_equal(s1.gtn_tau, s2.gtn_tau)
@@ -210,8 +210,14 @@ class TestRebuildAndValidate:
 
     def test_validate_catches_wrong_count(self):
         data, hp, state = self._valid()
-        state.r[:] = 1
+        state.j = np.arange(3)
         with pytest.raises(ValueError):
+            validate_state(state, data, hp)
+
+    def test_validate_catches_repeated_basis_column(self):
+        data, hp, state = self._valid()
+        state.j[:] = state.j[0]
+        with pytest.raises(ValueError, match="distinct"):
             validate_state(state, data, hp)
 
     def test_validate_catches_out_of_bounds_y(self):

@@ -1,12 +1,13 @@
 """Gibbs kernels and the sampling loop.
 
 Closed-form conditional parameters are checked against independent
-double-loop oracles; the loop itself is checked for determinism, bound
-preservation and recovery behavior on constructed instances, and at
-K = 1 against the exact posterior computed by quadrature.
+double-loop oracles; the kept Gram statistics against fresh
+recomputations; the loop itself is checked for determinism, bound
+preservation, memory and recovery behavior on constructed instances, and
+at K = 1 against the exact posterior computed by quadrature.
 """
 
-import copy
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,17 +16,20 @@ from scipy.special import logsumexp
 
 from bayesid import sampler
 from bayesid.distributions import _log_interval_mass
-from bayesid.errors import ConfigurationError, InputError
+from bayesid.errors import ConfigurationError, InputError, NumericalError
 from bayesid.model import (
     Hyperparameters,
     IdState,
     ObservedMatrix,
     init_state,
     residual,
+    sample_prior_rows,
     validate_state,
 )
 from bayesid.sampler import (
     _sweep_weights,
+    gram_rss,
+    gram_statistics,
     noise_variance_params,
     run_gibbs,
     sample_noise_variance,
@@ -42,26 +46,27 @@ from bayesid.sampler import (
 from _instances import duplicated_id_matrix, frozen_state
 
 
-def _x(state, data, i, k):
-    """Entry (i, k) of the zero-padded basis: the data where column k is active."""
-    return data.values[i, k] if state.r[k] == 1 else 0.0
+def _x(state, data, i, s):
+    """Entry i of the basis column in slot s."""
+    return data.values[i, state.j[s]]
 
 
-def _entry_params_oracle(state, data, k, l):
-    """Posterior (mean, precision) of y[k, l] by direct index-by-index sums."""
-    m, n = data.shape
-    s = 0.0
+def _entry_params_oracle(state, data, s, l):
+    """Posterior (mean, precision) of y[s, l] by direct index-by-index sums."""
+    m = data.shape[0]
+    k = state.j.size
+    ss = 0.0
     for i in range(m):
-        s += _x(state, data, i, k) ** 2
-    tau = s / state.sigma2 + state.gtn_tau[k, l]
+        ss += _x(state, data, i, s) ** 2
+    tau = ss / state.sigma2 + state.gtn_tau[s, l]
     acc = 0.0
     for i in range(m):
         partial = data.values[i, l]
-        for j in range(n):
-            if j != k:
-                partial -= _x(state, data, i, j) * state.y[j, l]
-        acc += _x(state, data, i, k) * partial
-    mu = (acc / state.sigma2 + state.gtn_tau[k, l] * state.gtn_mu[k, l]) / tau
+        for t in range(k):
+            if t != s:
+                partial -= _x(state, data, i, t) * state.y[t, l]
+        acc += _x(state, data, i, s) * partial
+    mu = (acc / state.sigma2 + state.gtn_tau[s, l] * state.gtn_mu[s, l]) / tau
     return mu, tau
 
 
@@ -71,10 +76,15 @@ def _rss_oracle(state, data):
     for i in range(m):
         for j in range(n):
             pred = 0.0
-            for k in range(n):
-                pred += _x(state, data, i, k) * state.y[k, j]
+            for t in range(state.j.size):
+                pred += _x(state, data, i, t) * state.y[t, j]
             total += (data.values[i, j] - pred) ** 2
     return total
+
+
+def _force_accept(monkeypatch):
+    """Make every swap proposal accept, whatever its odds."""
+    monkeypatch.setattr(sampler, "_sigmoid", lambda log_odds: 1.0)
 
 
 class TestWeightEntryParams:
@@ -82,23 +92,39 @@ class TestWeightEntryParams:
         # one row, one active column with value 2, target entry 1, unit noise
         data = ObservedMatrix.fully_observed(np.array([[2.0, 1.0]]))
         state = IdState(
-            y=np.zeros((2, 2)),
-            r=np.array([1, 0], dtype=np.int8),
+            j=np.array([0]),
+            y=np.zeros((1, 2)),
             sigma2=1.0,
-            gtn_mu=np.zeros((2, 2)),
-            gtn_tau=np.ones((2, 2)),
+            gtn_mu=np.zeros((1, 2)),
+            gtn_tau=np.ones((1, 2)),
         )
         mu, tau = weight_entry_params(state, data, 0, 1)
         npt.assert_allclose(tau, 5.0, rtol=1e-12)
         npt.assert_allclose(mu, 0.4, rtol=1e-12)
 
-    def test_inactive_column_reverts_to_prior(self):
+    def test_incoming_row_is_drawn_from_the_joint_prior(self, monkeypatch):
+        # the rows of columns outside the basis are not stored: a swap draws
+        # the incoming row, with its gbtn (mu, tau), from the joint prior, and
+        # an accepted swap puts exactly those draws into the outgoing slot
         rng = np.random.default_rng(101)
         data, hp, state = frozen_state(5, 4, 2, rng, variant="gbtn")
-        k = int(state.interpolated_indices[0])
-        mu, tau = weight_entry_params(state, data, k, 3)
-        assert mu == state.gtn_mu[k, 3]
-        assert tau == state.gtn_tau[k, 3]
+        drawn = []
+
+        def spy(hp_, count, n, gen):
+            out = sample_prior_rows(hp_, count, n, gen)
+            drawn.append(out)
+            return out
+
+        monkeypatch.setattr(sampler, "sample_prior_rows", spy)
+        _force_accept(monkeypatch)
+        before = state.j.copy()
+        assert sample_state_vector(state, data, hp, rng)
+        s = int(np.flatnonzero(state.j != before)[0])
+        (y_in, mu_in, tau_in), = drawn
+        assert y_in.shape == mu_in.shape == tau_in.shape == (1, 4)
+        npt.assert_array_equal(state.y[s], y_in[0])
+        npt.assert_array_equal(state.gtn_mu[s], mu_in[0])
+        npt.assert_array_equal(state.gtn_tau[s], tau_in[0])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(103)
@@ -107,10 +133,10 @@ class TestWeightEntryParams:
             n = int(rng.integers(2, 7))
             k_active = int(rng.integers(1, n + 1))
             data, hp, state = frozen_state(m, n, k_active, rng, variant="gbtn")
-            k = int(rng.integers(n))
+            s = int(rng.integers(k_active))
             l = int(rng.integers(n))
-            got = weight_entry_params(state, data, k, l)
-            want = _entry_params_oracle(state, data, k, l)
+            got = weight_entry_params(state, data, s, l)
+            want = _entry_params_oracle(state, data, s, l)
             npt.assert_allclose(got, want, rtol=1e-10)
 
     def test_sample_writes_within_bounds(self):
@@ -127,8 +153,8 @@ class TestNoiseVariance:
         values = np.array([[0.3, -0.2], [0.1, 0.4]])
         data = ObservedMatrix.fully_observed(values)
         state = IdState(
+            j=np.array([0, 1]),
             y=np.eye(2),
-            r=np.array([1, 1], dtype=np.int8),
             sigma2=1.0,
             gtn_mu=np.zeros((2, 2)),
             gtn_tau=np.ones((2, 2)),
@@ -177,9 +203,9 @@ class TestHierarchicalKernels:
 
     def test_precision_update_worked_case(self):
         data, hp, state, rng = self._gbtn_state()
-        state.y[2, 1] = 0.3
-        state.gtn_mu[2, 1] = 0.3
-        p = weight_precision_entry_params(state, hp, 2, 1)
+        state.y[1, 1] = 0.3
+        state.gtn_mu[1, 1] = 0.3
+        p = weight_precision_entry_params(state, hp, 1, 1)
         npt.assert_allclose(p.shape, 1.5, rtol=1e-12)
         npt.assert_allclose(p.rate, 1.0, rtol=1e-12)
 
@@ -207,68 +233,80 @@ class TestHierarchicalKernels:
 
 
 def _symmetric_state(m=6, n=4, k=2, seed=137):
-    """All data columns identical and all weight rows identical, so every
-    possible swap leaves the residual unchanged."""
+    """All data columns identical and all weight rows identical; with the
+    incoming row equal to the others too, every possible swap leaves the
+    residual unchanged. Returns the data, the state and that shared row."""
     rng = np.random.default_rng(seed)
     col = rng.normal(size=m)
     values = np.tile(col[:, None], (1, n))
     row = rng.uniform(-0.5, 0.5, size=n)
-    y = np.tile(row, (n, 1))
-    r = np.zeros(n, dtype=np.int8)
-    r[:k] = 1
+    y = np.tile(row, (k, 1))
     data = ObservedMatrix.fully_observed(values)
-    state = IdState(y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((n, n)), gtn_tau=np.ones((n, n)))
-    return data, state
+    state = IdState(j=np.arange(k), y=y, sigma2=1.0, gtn_mu=np.zeros((k, n)), gtn_tau=np.ones((k, n)))
+    return data, state, row
 
 
 def _exact_state(seed=139):
-    """Noise-free four-column instance with the exact interpolation weights
-    stored in y, active set {0, 2} (one true basis column missing)."""
+    """Noise-free four-column instance, basis {0, 2} in slot order (one true
+    basis column missing). Returns the data, the state and ``rows``, the
+    exact interpolation weights of each column as a basis row (zeros for
+    the two combination columns); the state's y holds rows 0 and 2."""
     rng = np.random.default_rng(seed)
     b0, b1 = rng.normal(size=10), rng.normal(size=10)
     values = np.stack([b0, b1, 0.6 * b0 - 0.3 * b1, -0.5 * b0 + 0.8 * b1], axis=1)
-    y = np.zeros((4, 4))
-    y[0, :] = [1.0, 0.0, 0.6, -0.5]
-    y[1, :] = [0.0, 1.0, -0.3, 0.8]
-    r = np.array([1, 0, 1, 0], dtype=np.int8)
+    rows = np.zeros((4, 4))
+    rows[0, :] = [1.0, 0.0, 0.6, -0.5]
+    rows[1, :] = [0.0, 1.0, -0.3, 0.8]
+    j = np.array([0, 2])
     data = ObservedMatrix.fully_observed(values)
-    state = IdState(y=y, r=r, sigma2=1.0, gtn_mu=np.zeros((4, 4)), gtn_tau=np.ones((4, 4)))
-    return data, state
+    state = IdState(j=j, y=rows[j], sigma2=1.0, gtn_mu=np.zeros((2, 4)), gtn_tau=np.ones((2, 4)))
+    return data, state, rows
+
+
+def _use_basis(state, rows, j):
+    state.j = np.array(j)
+    state.y = rows[state.j]
 
 
 class TestStateSwap:
     def test_symmetric_swap_has_zero_log_odds(self):
-        data, state = _symmetric_state()
-        assert state_swap_log_odds(state, data, 0, 2) == 0.0
+        data, state, row = _symmetric_state()
+        assert state_swap_log_odds(state, data, 0, 2, row) == 0.0
 
-    def test_symmetric_acceptance_rate_half(self):
-        data, state = _symmetric_state()
+    def test_symmetric_acceptance_rate_half(self, monkeypatch):
+        data, state, row = _symmetric_state()
+        hp = Hyperparameters(k=2)
+        # the incoming row is the shared row, so no swap changes the residual
+        monkeypatch.setattr(
+            sampler, "sample_prior_rows",
+            lambda hp_, count, n, gen: (row[None, :].copy(), np.array(0.0), np.array(1.0)),
+        )
         rng = np.random.default_rng(149)
         accepted = 0
         trials = 10_000
         for _ in range(trials):
-            if sample_state_vector(state, data, rng):
+            if sample_state_vector(state, data, hp, rng):
                 accepted += 1
-            assert state.r.sum() == 2
+            assert np.unique(state.j).size == 2
         assert abs(accepted / trials - 0.5) <= 0.02
 
     def test_activating_missing_basis_column_favored(self):
-        data, state = _exact_state()
-        log_odds = state_swap_log_odds(state, data, 2, 1)
+        data, state, rows = _exact_state()
+        log_odds = state_swap_log_odds(state, data, 1, 1, rows[1])
         assert log_odds > 5.0
 
     def test_deactivating_needed_basis_column_disfavored(self):
-        data, state = _exact_state()
+        data, state, rows = _exact_state()
         # move to the exact configuration first, then propose breaking it
-        state.r[:] = [1, 1, 0, 0]
-        assert state_swap_log_odds(state, data, 1, 2) < -5.0
+        _use_basis(state, rows, [0, 1])
+        assert state_swap_log_odds(state, data, 1, 2, rows[2]) < -5.0
 
     def test_log_odds_clamped_at_saturation(self):
-        data, state = _exact_state()
+        data, state, rows = _exact_state()
         state.sigma2 = 1e-9
-        assert state_swap_log_odds(state, data, 2, 1) == 700.0
-        state.r[:] = [1, 1, 0, 0]
-        assert state_swap_log_odds(state, data, 1, 2) == -700.0
+        assert state_swap_log_odds(state, data, 1, 1, rows[1]) == 700.0
+        _use_basis(state, rows, [0, 1])
+        assert state_swap_log_odds(state, data, 1, 2, rows[2]) == -700.0
 
     def test_incremental_agrees_with_full_recompute(self):
         rng = np.random.default_rng(151)
@@ -277,10 +315,11 @@ class TestStateSwap:
             n = int(rng.integers(2, 8))
             k = int(rng.integers(1, n))
             data, hp, state = frozen_state(m, n, k, rng)
-            j = int(state.basis_indices[rng.integers(k)])
+            s = int(rng.integers(k))
             i = int(state.interpolated_indices[rng.integers(n - k)])
-            fast = state_swap_log_odds(state, data, j, i)
-            slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
+            y_in = sample_prior_rows(hp, 1, n, rng)[0][0]
+            fast = state_swap_log_odds(state, data, s, i, y_in)
+            slow = state_swap_log_odds(state, data, s, i, y_in, full_recompute=True)
             npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
         # wide (N > M) and masked
         for _ in range(20):
@@ -292,10 +331,11 @@ class TestStateSwap:
             hp = Hyperparameters(k=k, iterations=10, burn_in=0, thinning=1)
             state = init_state(data, hp, rng)
             state.sigma2 = float(rng.uniform(0.05, 2.0))
-            j = int(state.basis_indices[rng.integers(k)])
+            s = int(rng.integers(k))
             i = int(state.interpolated_indices[rng.integers(n - k)])
-            fast = state_swap_log_odds(state, data, j, i)
-            slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
+            y_in = sample_prior_rows(hp, 1, n, rng)[0][0]
+            fast = state_swap_log_odds(state, data, s, i, y_in)
+            slow = state_swap_log_odds(state, data, s, i, y_in, full_recompute=True)
             npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
         # near an exact fit, swapping a basis column for its twin (x_i ~ +-x_j,
         # y_i ~ +-y_j): the two rank-1 terms nearly cancel, and sigma2 is set
@@ -306,44 +346,130 @@ class TestStateSwap:
             values[:, n_pre:] *= sign
             data = ObservedMatrix.fully_observed(values)
             n = values.shape[1]
-            r = np.zeros(n, dtype=np.int8)
-            r[:rank] = 1
             y = rng.uniform(-1.0, 1.0, size=(n, n))
             y[:rank] = np.linalg.lstsq(values[:, :rank], values, rcond=None)[0]
             j = int(rng.integers(rank))
             i = j + n_pre
             y[i] = sign * y[j] + 1e-7 * rng.normal(size=n)
-            state = IdState(y=y, r=r, sigma2=0.5, gtn_mu=np.zeros((n, n)), gtn_tau=np.ones((n, n)))
-            state.sigma2 = abs(state_swap_log_odds(state, data, j, i, full_recompute=True)) / 2.0
-            fast = state_swap_log_odds(state, data, j, i)
-            slow = state_swap_log_odds(state, data, j, i, full_recompute=True)
+            # basis: the first `rank` columns, in slot order, so slot j holds column j
+            state = IdState(
+                j=np.arange(rank), y=y[:rank].copy(), sigma2=0.5,
+                gtn_mu=np.zeros((rank, n)), gtn_tau=np.ones((rank, n)),
+            )
+            state.sigma2 = abs(state_swap_log_odds(state, data, j, i, y[i], full_recompute=True)) / 2.0
+            fast = state_swap_log_odds(state, data, j, i, y[i])
+            slow = state_swap_log_odds(state, data, j, i, y[i], full_recompute=True)
             npt.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
 
     def test_debug_checks_cross_validate(self):
         rng = np.random.default_rng(157)
         data, hp, state = frozen_state(6, 5, 2, rng)
         for _ in range(30):
-            sample_state_vector(state, data, rng, debug_checks=True)
+            sample_state_vector(state, data, hp, rng, debug_checks=True)
 
     def test_swap_requires_valid_pair(self):
-        data, state = _exact_state()
+        data, state, rows = _exact_state()
         with pytest.raises(ConfigurationError):
-            state_swap_log_odds(state, data, 1, 0)
+            state_swap_log_odds(state, data, 0, 2, rows[2])  # column 2 is already in the basis
+        with pytest.raises(ConfigurationError):
+            state_swap_log_odds(state, data, 2, 1, rows[1])  # there is no slot 2
 
     def test_no_move_when_everything_active(self):
         rng = np.random.default_rng(163)
         data, hp, state = frozen_state(4, 3, 3, rng)
-        r_before = state.r.copy()
-        assert sample_state_vector(state, data, rng) is False
-        npt.assert_array_equal(state.r, r_before)
+        j_before = state.j.copy()
+        assert sample_state_vector(state, data, hp, rng) is False
+        npt.assert_array_equal(state.j, j_before)
 
-    def test_maintained_residual_stays_current(self):
+    def test_maintained_gram_statistics_stay_current(self):
         rng = np.random.default_rng(167)
         data, hp, state = frozen_state(6, 5, 2, rng)
-        resid = residual(data.values, state.y, state.r)
+        gram, proj = gram_statistics(data.values, state.j)
+        accepted = 0
         for _ in range(60):
-            sample_state_vector(state, data, rng, resid=resid)
-        npt.assert_allclose(resid, residual(data.values, state.y, state.r), atol=1e-10)
+            accepted += sample_state_vector(state, data, hp, rng, gram=gram, proj=proj)
+        assert accepted > 0
+        fresh_gram, fresh_proj = gram_statistics(data.values, state.j)
+        npt.assert_allclose(gram, fresh_gram, atol=1e-10)
+        npt.assert_allclose(proj, fresh_proj, atol=1e-10)
+
+
+class TestGramStatistics:
+    """G = C^T C and P = C^T A are kept across the run; the loss is read
+    from them, and debug mode cross-checks all three every iteration."""
+
+    def test_gram_rss_matches_residual(self):
+        rng = np.random.default_rng(171)
+        for _ in range(20):
+            m = int(rng.integers(2, 12))
+            n = int(rng.integers(2, 10))
+            k = int(rng.integers(1, n + 1))
+            data, hp, state = frozen_state(m, n, k, rng)
+            gram, proj = gram_statistics(data.values, state.j)
+            a_sq = float(np.sum(data.values**2))
+            want = float(np.sum(residual(data.values, state.y, state.j) ** 2))
+            npt.assert_allclose(gram_rss(a_sq, state.y, gram, proj), want, rtol=1e-10, atol=1e-12 * a_sq)
+
+    @pytest.mark.parametrize("stale", ["gram", "proj"])
+    def test_stale_statistic_after_accepted_swap_is_caught(self, monkeypatch, stale):
+        # every swap is accepted, but the loop's own G (or P) is left as it
+        # was: the sampler updates a copy
+        _force_accept(monkeypatch)
+        move = sampler.sample_state_vector
+
+        def stale_move(state, data, hp, rng, gram=None, proj=None, debug_checks=False):
+            stats = {"gram": gram, "proj": proj}
+            stats[stale] = stats[stale].copy()
+            return move(state, data, hp, rng, debug_checks=debug_checks, **stats)
+
+        monkeypatch.setattr(sampler, "sample_state_vector", stale_move)
+        rng = np.random.default_rng(173)
+        data = ObservedMatrix.fully_observed(rng.normal(size=(12, 8)))
+        hp = Hyperparameters(k=3, iterations=5, burn_in=0, thinning=1)
+        name = {"gram": "G", "proj": "P"}[stale]
+        with pytest.raises(NumericalError, match=f"statistic {name} "):
+            run_gibbs(data, hp, rng, debug_checks=True)
+
+    def test_forced_swaps_keep_debug_checks_green(self, monkeypatch):
+        _force_accept(monkeypatch)
+        rng = np.random.default_rng(175)
+        for variant in ("gbt", "gbtn"):
+            data = ObservedMatrix.fully_observed(rng.normal(size=(12, 8)))
+            hp = Hyperparameters(k=3, variant=variant, iterations=20, burn_in=0, thinning=1)
+            _, trace = run_gibbs(data, hp, rng, debug_checks=True)
+            assert trace.accepted_swaps == 20
+
+    def test_loop_allocates_no_m_by_n_array(self, monkeypatch):
+        m, n = 400, 300
+        rng = np.random.default_rng(177)
+        data = ObservedMatrix.fully_observed(rng.normal(size=(m, n)))
+        hp = Hyperparameters(k=10, iterations=20, burn_in=5, thinning=1)
+        start = sampler.init_state
+
+        def init_then_reset(data, hp, rng):
+            state = start(data, hp, rng)
+            tracemalloc.reset_peak()
+            return state
+
+        monkeypatch.setattr(sampler, "init_state", init_then_reset)
+        tracemalloc.start()
+        try:
+            run_gibbs(data, hp, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8, f"peak {peak} bytes during the loop, an M x N array is {m * n * 8}"
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    def test_state_holds_o_kn_bytes(self, variant):
+        m, n, k = 60, 200, 5
+        data = ObservedMatrix.fully_observed(np.random.default_rng(179).normal(size=(m, n)))
+        hp = Hyperparameters(k=k, variant=variant, iterations=3, burn_in=0, thinning=1)
+        state, _ = run_gibbs(data, hp, np.random.default_rng(0))
+        arrays = {name: v for name, v in vars(state).items() if isinstance(v, np.ndarray)}
+        assert all(v.size <= k * n for v in arrays.values())
+        weights = 3 if variant == "gbtn" else 1
+        assert sum(v.nbytes for v in arrays.values()) <= 8 * (weights * k * n + k + 2)
 
 
 class TestGramSweep:
@@ -365,28 +491,26 @@ class TestGramSweep:
         state = init_state(data, hp, rng)
         state.sigma2 = 0.3
         n = shape[1]
-        active = list(state.basis_indices)
+        gram, proj = gram_statistics(data.values, state.j)
         draw = sampler.sample_gtn_array
         calls = []
 
         def spy(mu, tau, a, b, gen):
-            # active rows come first, in ascending order; the oracle reads the
-            # state as the sweep has left it so far
-            if len(calls) < len(active):
-                row = active[len(calls)]
-                want = np.array([weight_entry_params(state, data, row, l) for l in range(n)])
-                calls.append((np.array(mu), np.array(tau), want))
+            # rows come in slot order; the oracle reads the state as the
+            # sweep has left it so far
+            s = len(calls)
+            want = np.array([weight_entry_params(state, data, s, l) for l in range(n)])
+            calls.append((np.array(mu), np.array(tau), want))
             return draw(mu, tau, a, b, gen)
 
         monkeypatch.setattr(sampler, "sample_gtn_array", spy)
-        resid = _sweep_weights(
-            data.values, state.y, state.sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b, state.r, rng,
+        _sweep_weights(
+            state.y, gram, proj, state.sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng,
         )
         assert len(calls) == k
         for mu, tau, want in calls:
             npt.assert_allclose(mu, want[:, 0], rtol=1e-10)
             npt.assert_allclose(tau, want[:, 1], rtol=1e-10)
-        npt.assert_array_equal(resid, residual(data.values, state.y, state.r))
 
 
 class TestScalarPrior:
@@ -409,15 +533,14 @@ class TestScalarPrior:
 
         def full_prior_init(data, hp, rng):
             state = init_state(data, hp, rng)
-            n = data.shape[1]
-            state.gtn_mu, state.gtn_tau = np.zeros((n, n)), np.ones((n, n))
+            state.gtn_mu, state.gtn_tau = np.zeros(state.y.shape), np.ones(state.y.shape)
             return state
 
         monkeypatch.setattr(sampler, "init_state", full_prior_init)
         s_full, t_full = runner(data, hp, np.random.default_rng(7))
-        assert s_full.gtn_mu.shape == (shape[1], shape[1])
+        assert s_full.gtn_mu.shape == (k, shape[1])
         npt.assert_array_equal(s_scalar.y, s_full.y)
-        npt.assert_array_equal(s_scalar.r, s_full.r)
+        npt.assert_array_equal(s_scalar.j, s_full.j)
         assert s_scalar.sigma2 == s_full.sigma2
         npt.assert_array_equal(t_scalar.mse_per_iter, t_full.mse_per_iter)
         npt.assert_array_equal(t_scalar.mse_observed_per_iter, t_full.mse_observed_per_iter)
@@ -426,12 +549,14 @@ class TestScalarPrior:
         for pos in t_scalar.y_entry_chains:
             npt.assert_array_equal(t_scalar.y_entry_chains[pos], t_full.y_entry_chains[pos])
 
-    def test_inactive_entry_params_are_the_scalar_prior(self):
+    def test_entry_params_read_the_scalar_prior_as_full_arrays(self):
         rng = np.random.default_rng(257)
         data, hp, state = frozen_state(5, 4, 2, rng)
         assert state.gtn_mu.ndim == 0
-        k = int(state.interpolated_indices[0])
-        assert weight_entry_params(state, data, k, 3) == (0.0, 1.0)
+        scalar = [weight_entry_params(state, data, s, l) for s in range(2) for l in range(4)]
+        state.gtn_mu, state.gtn_tau = np.zeros((2, 4)), np.ones((2, 4))
+        full = [weight_entry_params(state, data, s, l) for s in range(2) for l in range(4)]
+        assert scalar == full
 
     def test_validate_state_checks_prior_shape(self):
         rng = np.random.default_rng(263)
@@ -456,6 +581,8 @@ class TestRunGibbs:
         assert trace.mse_observed_per_iter.shape == (25,)
         assert trace.sigma2_chain.shape == (25,)
         assert len(trace.y_entry_chains) == 5
+        # default probes are (slot, column) positions of the 2 x 6 weights Y_J
+        assert all(0 <= s < 2 and 0 <= l < 6 for s, l in trace.y_entry_chains)
         for chain in trace.y_entry_chains.values():
             assert chain.shape == (25,)
             assert np.all(chain >= -1.0) and np.all(chain <= 1.0)
@@ -470,7 +597,7 @@ class TestRunGibbs:
         npt.assert_array_equal(t1.mse_per_iter, t2.mse_per_iter)
         npt.assert_array_equal(t1.sigma2_chain, t2.sigma2_chain)
         npt.assert_array_equal(s1.y, s2.y)
-        npt.assert_array_equal(s1.r, s2.r)
+        npt.assert_array_equal(s1.j, s2.j)
         for pos in t1.y_entry_chains:
             npt.assert_array_equal(t1.y_entry_chains[pos], t2.y_entry_chains[pos])
 
@@ -510,9 +637,21 @@ class TestRunGibbs:
         rng = np.random.default_rng(211)
         data = ObservedMatrix.fully_observed(rng.normal(size=(6, 5)))
         hp = Hyperparameters(k=2, iterations=10, burn_in=2, thinning=1)
-        probes = [(0, 0), (2, 3), (4, 4)]
+        probes = [(0, 0), (1, 3), (1, 4)]
         state, trace = run_gibbs(data, hp, rng, probe_positions=probes)
         assert sorted(trace.y_entry_chains) == sorted(probes)
+
+    @pytest.mark.parametrize("probe", [(2, 0), (0, 5), (-1, 0)])
+    def test_probe_outside_weights_rejected_before_sampling(self, monkeypatch, probe):
+        data = ObservedMatrix.fully_observed(np.random.default_rng(213).normal(size=(6, 5)))
+        hp = Hyperparameters(k=2, iterations=10, burn_in=2, thinning=1)
+
+        def no_init(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(sampler, "init_state", no_init)
+        with pytest.raises(ConfigurationError, match="probe"):
+            run_gibbs(data, hp, np.random.default_rng(0), probe_positions=[(0, 0), probe])
 
     def test_loss_trend_downward_on_noisy_instance(self):
         rng = np.random.default_rng(223)
@@ -579,9 +718,9 @@ class TestExactPosterior:
         columns = []
         record = sampler._TraceRecorder.record
 
-        def spy(self, resid, rss, state):
-            columns.append(int(np.flatnonzero(state.r)[0]))
-            return record(self, resid, rss, state)
+        def spy(self, state, rss):
+            columns.append(int(state.j[0]))
+            return record(self, state, rss)
 
         monkeypatch.setattr(sampler._TraceRecorder, "record", spy)
         _, trace = run_gibbs(ObservedMatrix.fully_observed(a), hp, np.random.default_rng(0))
