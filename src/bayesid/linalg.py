@@ -4,6 +4,13 @@ Thin wrappers around LAPACK (via scipy) that pin down the conventions the
 rest of the package relies on: permutation as an index array, nonincreasing
 |R| diagonal, and rank deficiency reported as an error instead of a silent
 minimum-norm solution.
+
+The dominant column set reads only the first K pivots, so it runs K steps
+of a left-looking pivoted QR instead of LAPACK geqp3 on all of A: the same
+max-residual-norm pivots and norm-downdate safeguard, in O(KMN) time and
+O(K(M + N)) memory, with no copy of A. When the leading K columns are
+numerically rank deficient, those pivots are set by rounding, and geqp3's
+are used as before.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ from .errors import RankDeficiencyError
 # Weights this close above 1 come from rounding (duplicated columns give
 # exactly 1), and exchanging them would not grow the volume.
 _DOMINANCE_TOL = 1e-10
+
+# dlaqp2's tol3z, sqrt(dlamch('E')): a downdated squared norm at or below
+# this fraction of its last computed value is recomputed from the data.
+_NORM_RECOMPUTE_TOL = np.sqrt(np.finfo(float).eps / 2)
 
 
 @dataclass
@@ -75,33 +86,94 @@ def solve_least_squares(c, a) -> np.ndarray:
     return w
 
 
-def dominant_columns(a, k: int) -> np.ndarray:
-    """K column indices of a, ascending, on which every column's weights lie in [-1, 1].
+def _truncated_cpqr(a: np.ndarray, k: int):
+    """The first k steps of column-pivoted QR, without factoring all of a.
 
-    Starts from the first k pivots of a column-pivoted QR and then makes
-    volume-increasing exchanges (Goreinov et al., "How to find a good
-    submatrix", 2010): while some column needs a weight of magnitude above
-    1 on the chosen set, the largest such pair is swapped in. The weights
-    W = R11^-1 R[:k] come from the R factor alone, with no Q, and follow
-    each exchange by a rank-1 update. At most 4k exchanges are made. When
-    the leading k pivots are numerically rank deficient (k above the rank
-    of a) the weights are not defined and the pivots are returned as they
-    are. No random numbers are drawn.
+    Left-looking Businger-Golub pivoting: step t takes the remaining column
+    of largest residual norm (argmax over perm[t:], in geqp3's swap order),
+    orthogonalizes it against the directions so far with one
+    reorthogonalization pass, and reads its row of R as q_t @ a, the step's
+    only pass over the data. The squared norms are then downdated by that
+    row; a norm that has lost too much to cancellation is recomputed from
+    the data, by dlaqp2's rule (Drmac and Bujanovic, LAWN 176, 2008).
+    Costs O(kmn) time and O(k(m + n)) memory beyond a.
+
+    Returns (perm, r): perm is the column order after k swaps and r the
+    k x n rows of R in that order. Returns None when k > m or some
+    |r_tt| <= n eps |r_00|, where the leading k columns are numerically
+    rank deficient, and when a squared column norm overflows.
     """
-    a = _as_matrix(a)
-    n = a.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    # geqp3 on a private Fortran copy, so neither Q nor a second m x n R is formed
+    m, n = a.shape
+    if k > m:
+        return None
+    norms2 = np.einsum("ij,ij->j", a, a)
+    if not np.isfinite(norms2.max()):
+        return None
+    computed2 = norms2.copy()  # each squared norm when last computed from the data
+    perm = np.arange(n)
+    q = np.empty((k, m))
+    r = np.empty((k, n))
+    rank_tol = n * np.finfo(float).eps
+    for t in range(k):
+        p = t + int(np.argmax(norms2[perm[t:]]))
+        perm[t], perm[p] = perm[p], perm[t]
+        v = a[:, perm[t]] - r[:t, perm[t]] @ q[:t]
+        v -= (q[:t] @ v) @ q[:t]
+        rtt = float(np.linalg.norm(v))
+        if t == 0:
+            r00 = rtt
+        if not rtt > rank_tol * r00:
+            return None
+        q[t] = v / rtt
+        r[t] = q[t] @ a
+        if t + 1 == k:
+            break
+        rest = perm[t + 1:]
+        norms2[rest] = np.maximum(norms2[rest] - r[t, rest] ** 2, 0.0)
+        stale = rest[(norms2[rest] <= _NORM_RECOMPUTE_TOL * computed2[rest]) & (computed2[rest] > 0)]
+        for lo in range(0, stale.size, k):
+            cols = stale[lo:lo + k]
+            resid = a[:, cols] - q[:t + 1].T @ r[:t + 1, cols]
+            norms2[cols] = computed2[cols] = np.einsum("ij,ij->j", resid, resid)
+    r = r[:, perm]
+    r[:, :k] = np.triu(r[:, :k])
+    return perm, r
+
+
+def _geqp3_rows(a: np.ndarray, k: int):
+    """Full column-pivoted QR by LAPACK geqp3: (perm, first k rows of R)."""
+    # a private Fortran copy, so neither Q nor a second m x n R is formed
     fac = np.array(a, order="F")
     geqp3 = scipy.linalg.get_lapack_funcs("geqp3", (fac,))
     lwork = int(geqp3(fac, lwork=-1)[3][0])
     fac, perm, _, _, info = geqp3(fac, lwork=lwork, overwrite_a=True)
     if info != 0:
         raise ValueError(f"LAPACK geqp3 failed with info={info}")
-    perm = perm - 1
-    r_top = np.triu(fac[:k])
-    del fac
+    return perm - 1, np.triu(fac[:k])
+
+
+def dominant_columns(a, k: int) -> np.ndarray:
+    """K column indices of a, ascending, on which every column's weights lie in [-1, 1].
+
+    Starts from the first k pivots of a column-pivoted QR, found by k
+    steps of a truncated, left-looking pivoted QR (``_truncated_cpqr``):
+    O(kmn) time, O(k(m + n)) memory, and no copy of a. It then makes
+    volume-increasing exchanges (Goreinov et al., "How to find a good
+    submatrix", 2010): while some column needs a weight of magnitude above
+    1 on the chosen set, the largest such pair is swapped in. The weights
+    W = R11^-1 R[:k] come from the k x n R alone, with no Q, and follow
+    each exchange by a rank-1 update. At most 4k exchanges are made. When
+    the leading k columns are numerically rank deficient (k above m or
+    above the rank of a) the truncated pivots are not reliable, so a full
+    LAPACK geqp3 runs instead; if its leading k pivots are rank deficient
+    too, the weights are not defined and those pivots are returned as they
+    are. No random numbers are drawn.
+    """
+    a = _as_matrix(a)
+    n = a.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    perm, r_top = _truncated_cpqr(a, k) or _geqp3_rows(a, k)
     chosen = perm[:k].copy()
     if numerical_rank(r_top) < k:
         return np.sort(chosen)

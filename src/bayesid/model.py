@@ -169,13 +169,16 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
 
     The basis is a dominant K-column set of the zero-filled data
     (``linalg.dominant_columns``), in ascending order: the first K pivots
-    of a column-pivoted QR, exchanged until every column's least-squares
-    weights on the set lie in [-1, 1]. On noise-free data of rank K such a
-    set gives an exact decomposition inside the default weight bounds. The
-    choice is deterministic and draws no random numbers. Y_J (K x N) and,
-    under gbtn, its K x N prior arrays are drawn from the joint prior by
-    ``sample_prior_rows`` (no identity pattern imposed), and the noise
-    variance is one draw from its prior, floored at 1e-6.
+    of a column-pivoted QR, from K steps of a truncated pivoted QR in
+    O(KMN) time and O(K(M + N)) memory (a full geqp3 when the leading K
+    columns are rank deficient), exchanged until every column's
+    least-squares weights on the set lie in [-1, 1]. On noise-free data of
+    rank K such a set gives an exact decomposition inside the default
+    weight bounds. The choice is deterministic and draws no random
+    numbers. Y_J (K x N) and, under gbtn, its K x N prior arrays are drawn
+    from the joint prior by ``sample_prior_rows`` (no identity pattern
+    imposed), and the noise variance is one draw from its prior, floored
+    at 1e-6.
     """
     n = data.shape[1]
     if hp.k > n:

@@ -1,10 +1,13 @@
 """Hyperparameter validation, observed-matrix invariants, and state setup."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+from bayesid import linalg
 from bayesid.errors import ConfigurationError
 from bayesid.linalg import dominant_columns
 from bayesid.model import (
@@ -13,6 +16,8 @@ from bayesid.model import (
     init_state,
     validate_state,
 )
+
+from _instances import duplicated_id_matrix
 
 
 class TestHyperparameters:
@@ -195,6 +200,92 @@ class TestDominantStart:
         a[:, [1, 4]] = np.random.default_rng(7).normal(size=(8, 2))
         perm = scipy.linalg.qr(a, pivoting=True)[2]
         npt.assert_array_equal(dominant_columns(a, 4), np.sort(perm[:4]))
+
+    @staticmethod
+    def _pivot_instance(kind):
+        rng = np.random.default_rng(31)
+        if kind == "tall":
+            return rng.normal(size=(40, 25)), 12
+        if kind == "square":
+            return rng.normal(size=(30, 30)), 20
+        if kind == "wide":
+            return rng.normal(size=(15, 40)), 15
+        if kind == "noisy-duplicated":
+            # tall-gbt's construction at a tenth of its size
+            return duplicated_id_matrix(100, 25, 5, rng, noise=0.05), 10
+        # graded: a shared column plus iid columns scaled by logspace(0, -12, n),
+        # shuffled. Once the shared direction is removed the residual norms are
+        # far below the first ones, so the downdated norms must be recomputed.
+        m, n = 40, 30
+        graded = np.outer(rng.normal(size=m), np.ones(n)) + rng.normal(size=(m, n)) * np.logspace(0, -12, n)
+        return graded[:, rng.permutation(n)], 24
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "noisy-duplicated", "graded"])
+    def test_truncated_pivots_match_geqp3(self, kind):
+        a, k = self._pivot_instance(kind)
+        fac = linalg._truncated_cpqr(a, k)
+        assert fac is not None, "full-rank input took the rank-deficient branch"
+        npt.assert_array_equal(fac[0][:k], scipy.linalg.qr(a, pivoting=True)[2][:k])
+
+    def test_exact_ties_break_in_geqp3_swap_order(self):
+        # columns 0 and 1 are equal; the first step swaps column 2 to the front
+        # and column 0 into position 2, so the tie goes to column 1 in swap
+        # order (geqp3's) and to column 0 in the original order
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        perm = scipy.linalg.qr(a, pivoting=True)[2]
+        npt.assert_array_equal(perm[:2], [2, 1])
+        npt.assert_array_equal(linalg._truncated_cpqr(a, 2)[0][:2], perm[:2])
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_duplicate_ties_pick_geqp3_column_values_and_stay_dominant(self, k):
+        a = duplicated_id_matrix(30, 20, 8, np.random.default_rng(37))
+        fac = linalg._truncated_cpqr(a, k)
+        assert fac is not None
+        perm = scipy.linalg.qr(a, pivoting=True)[2]
+        # duplicates may swap places, but the chosen columns hold the same values
+        npt.assert_array_equal(a[:, fac[0][:k]], a[:, perm[:k]])
+        assert self._max_lstsq_weight(a, dominant_columns(a, k)) <= 1.0 + 1e-8
+
+    def test_start_set_matches_the_full_geqp3_start(self, monkeypatch):
+        a = duplicated_id_matrix(100, 25, 5, np.random.default_rng(41), noise=0.05)
+        chosen = dominant_columns(a, 10)
+        monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: None)
+        npt.assert_array_equal(chosen, dominant_columns(a, 10))
+
+    def test_does_not_copy_the_matrix(self):
+        m, n, k = 400, 300, 10
+        a = np.random.default_rng(43).normal(size=(m, n))
+        tracemalloc.start()
+        try:
+            dominant_columns(a, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
+
+    @pytest.mark.parametrize("case", ["k-above-rows", "k-equals-cols", "all-zero", "one-nonzero-column"])
+    def test_fallback_edges_return_geqp3_pivots(self, case):
+        rng = np.random.default_rng(47)
+        if case == "k-above-rows":
+            a, k = rng.normal(size=(5, 12)), 8
+        elif case == "k-equals-cols":
+            a, k = rng.normal(size=(6, 4)), 4
+        elif case == "all-zero":
+            a, k = np.zeros((6, 5)), 3
+        else:
+            a, k = np.zeros((6, 5)), 2
+            a[:, 3] = rng.normal(size=6)
+        # k = n at full rank stays on the truncated path: every column is chosen either way
+        if case != "k-equals-cols":
+            assert linalg._truncated_cpqr(a, k) is None
+        perm = scipy.linalg.qr(a, pivoting=True)[2]
+        npt.assert_array_equal(dominant_columns(a, k), np.sort(perm[:k]))
+
+    def test_overflowing_norms_fall_back_to_geqp3(self):
+        a = np.random.default_rng(53).normal(size=(12, 9))
+        huge = a * 2.0**700  # exact scaling whose squared norms overflow
+        assert linalg._truncated_cpqr(huge, 4) is None
+        npt.assert_array_equal(dominant_columns(huge, 4), dominant_columns(a, 4))
 
 
 class TestRebuildAndValidate:
