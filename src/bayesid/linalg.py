@@ -155,6 +155,22 @@ def _geqp3_rows(a: np.ndarray, k: int):
 def dominant_columns(a, k: int) -> np.ndarray:
     """K column indices of a, ascending, on which every column's weights lie in [-1, 1].
 
+    The column set of ``dominant_fit``, without its weights.
+    """
+    return dominant_fit(a, k)[0]
+
+
+def dominant_fit(a, k: int):
+    """A dominant K-column set of a, ascending, and every column's weights on it.
+
+    Returns (columns, w): w is K x n, row p holding the weights of each
+    column of a on the basis column ``columns[p]``, and the identity on
+    the chosen columns; once the exchanges below have converged its
+    entries lie in [-1 - 1e-10, 1 + 1e-10]. Without an exchange, or on
+    data of rank K, w is the least-squares fit on the set; after an
+    exchange it fits the columns' projections onto the span of the
+    leading pivots. w is None when the weights are not defined.
+
     Starts from the first k pivots of a column-pivoted QR, found by k
     steps of a truncated, left-looking pivoted QR (``_truncated_cpqr``):
     O(kmn) time, O(k(m + n)) memory, and no copy of a. It then makes
@@ -167,7 +183,7 @@ def dominant_columns(a, k: int) -> np.ndarray:
     above the rank of a) the truncated pivots are not reliable, so a full
     LAPACK geqp3 runs instead; if its leading k pivots are rank deficient
     too, the weights are not defined and those pivots are returned as they
-    are. No random numbers are drawn.
+    are, with w None. No random numbers are drawn.
     """
     a = _as_matrix(a)
     n = a.shape[1]
@@ -176,7 +192,7 @@ def dominant_columns(a, k: int) -> np.ndarray:
     perm, r_top = _truncated_cpqr(a, k) or _geqp3_rows(a, k)
     chosen = perm[:k].copy()
     if numerical_rank(r_top) < k:
-        return np.sort(chosen)
+        return np.sort(chosen), None
 
     w = np.empty((k, n))
     w[:, perm] = scipy.linalg.solve_triangular(r_top[:, :k], r_top)
@@ -191,4 +207,7 @@ def dominant_columns(a, k: int) -> np.ndarray:
         col[p] -= 1.0
         w -= np.outer(col, row)
         chosen[p] = q
-    return np.sort(chosen)
+    # a chosen column's weights are the identity by definition, not by rounding
+    w[:, chosen] = np.eye(k)
+    order = np.argsort(chosen)
+    return chosen[order], w[order]

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GammaParams, sample_gtn_array, sample_inverse_gamma
+from .distributions import sample_gtn_array
 from .errors import ConfigurationError
-from .linalg import dominant_columns
+from .linalg import dominant_fit
 
 VARIANT_GBT = "gbt"
 VARIANT_GBTN = "gbtn"
@@ -144,51 +144,88 @@ def residual(values: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
     return values - values[:, j] @ y
 
 
+def gram_statistics(values: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = C^T C (K x K) and P = C^T A (K x N) of the basis C = values[:, j], formed afresh."""
+    c = values[:, j]
+    return c.T @ c, c.T @ values
+
+
+def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray) -> float:
+    """||A - C Y_J||^2 from the Gram statistics: ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>.
+
+    ``a_sq`` is ||A||^2. The three terms cancel near an exact fit, leaving
+    a rounding error of order eps * (||A||^2 + ||C Y_J||^2); the result is
+    floored at 0. The error does not accumulate across iterations, because
+    each evaluation reads the current statistics, which never drift.
+    """
+    rss = a_sq - 2.0 * float(np.vdot(y, proj)) + float(np.vdot(y, gram @ y))
+    return max(rss, 0.0)
+
+
+def sample_prior_params(hp: Hyperparameters, count: int, n: int, rng: np.random.Generator):
+    """The weight prior (gtn_mu, gtn_tau) of ``count`` rows of length n.
+
+    Under gbt the prior is the fixed 0-d pair (0, 1) and nothing is drawn.
+    Under gbtn each entry's mean and then each entry's precision is drawn
+    from the normal-Gamma hyper-prior, each count x n.
+    """
+    if hp.variant != VARIANT_GBTN:
+        return np.array(0.0), np.array(1.0)
+    gtn_mu = rng.normal(hp.mu_mu, 1.0 / np.sqrt(hp.tau_mu), size=(count, n))
+    gtn_tau = rng.gamma(hp.alpha_t, 1.0 / hp.beta_t, size=(count, n))
+    return gtn_mu, np.maximum(gtn_tau, np.finfo(float).tiny)
+
+
 def sample_prior_rows(hp: Hyperparameters, count: int, n: int, rng: np.random.Generator):
     """Draw ``count`` weight rows of length n, with their prior parameters, from the joint prior.
 
-    Returns (y, gtn_mu, gtn_tau). Under gbt the prior is the fixed 0-d
-    pair (0, 1), which the GTN sampler takes as it is, so its standardized
-    bounds are computed once. Under gbtn each entry's mean and precision
-    are drawn from the normal-Gamma hyper-prior first (means, then
-    precisions, then weights), each count x n.
+    Returns (y, gtn_mu, gtn_tau): the prior by ``sample_prior_params``,
+    then the weights. Under gbt the 0-d prior pair goes to the GTN sampler
+    as it is, so its standardized bounds are computed once.
     """
-    if hp.variant == VARIANT_GBTN:
-        gtn_mu = rng.normal(hp.mu_mu, 1.0 / np.sqrt(hp.tau_mu), size=(count, n))
-        gtn_tau = rng.gamma(hp.alpha_t, 1.0 / hp.beta_t, size=(count, n))
-        gtn_tau = np.maximum(gtn_tau, np.finfo(float).tiny)
-    else:
-        gtn_mu = np.array(0.0)
-        gtn_tau = np.array(1.0)
+    gtn_mu, gtn_tau = sample_prior_params(hp, count, n, rng)
     y = sample_gtn_array(gtn_mu, gtn_tau, hp.a, hp.b, rng, size=(count, n))
     return y, gtn_mu, gtn_tau
 
 
 def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator) -> IdState:
-    """Build the initial state: a dominant column set, prior-drawn weights.
+    """Build the initial state: a dominant column set and its clipped least-squares fit.
 
     The basis is a dominant K-column set of the zero-filled data
-    (``linalg.dominant_columns``), in ascending order: the first K pivots
-    of a column-pivoted QR, from K steps of a truncated pivoted QR in
-    O(KMN) time and O(K(M + N)) memory (a full geqp3 when the leading K
-    columns are rank deficient), exchanged until every column's
-    least-squares weights on the set lie in [-1, 1]. On noise-free data of
-    rank K such a set gives an exact decomposition inside the default
-    weight bounds. The choice is deterministic and draws no random
-    numbers. Y_J (K x N) and, under gbtn, its K x N prior arrays are drawn
-    from the joint prior by ``sample_prior_rows`` (no identity pattern
-    imposed), and the noise variance is one draw from its prior, floored
-    at 1e-6.
+    (``linalg.dominant_fit``), in ascending order: the first K pivots of a
+    column-pivoted QR, from K steps of a truncated pivoted QR in O(KMN)
+    time and O(K(M + N)) memory (a full geqp3 when the leading K columns
+    are rank deficient), exchanged until every column's least-squares
+    weights on the set lie in [-1, 1]. On noise-free data of rank K such a
+    set gives an exact decomposition inside the default weight bounds. The
+    choice draws no random numbers.
+
+    Y_J starts at the weights W that ``dominant_fit`` forms on the set
+    (the least-squares fit when no exchange was made), clipped to [a, b],
+    so the chain starts at the fit instead of spending its first
+    iterations on a transient from a prior draw. Under gbtn the K x N
+    prior means and precisions are still drawn from the hyper-prior. Only
+    where the leading pivots are rank deficient, and W is not defined, is
+    Y_J drawn from the joint prior (``sample_prior_rows``). The noise
+    variance is the start fit's mean squared residual over all M x N
+    entries, floored at 1e-6; it is computed from the Gram statistics,
+    without an M x N temporary.
     """
     n = data.shape[1]
     if hp.k > n:
         raise ConfigurationError(f"k={hp.k} exceeds the column count {n}")
 
-    j = dominant_columns(data.values, hp.k).astype(np.intp)
-    y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)
+    j, w = dominant_fit(data.values, hp.k)
+    j = j.astype(np.intp)
+    if w is None:
+        y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)
+    else:
+        gtn_mu, gtn_tau = sample_prior_params(hp, hp.k, n, rng)
+        y = np.clip(w, hp.a, hp.b)
 
-    sigma2 = sample_inverse_gamma(GammaParams(hp.alpha_sigma, hp.beta_sigma), rng)
-    sigma2 = max(sigma2, _SIGMA2_FLOOR)
+    a_sq = float(np.einsum("ij,ij->", data.values, data.values))
+    rss = gram_rss(a_sq, y, *gram_statistics(data.values, j))
+    sigma2 = max(rss / data.values.size, _SIGMA2_FLOOR)
 
     return IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
 

@@ -22,6 +22,13 @@ where ``C @ Y_J`` is formed once for the observed-entry loss. The rows of
 the N - K columns outside the basis are not stored: the swap draws the
 incoming row from its prior when it proposes it.
 
+The chain starts at the dominant column set's clipped least-squares fit
+(``model.init_state``), and the sweep draws each row normal-first: one
+plain normal per entry, with only the entries that fall outside [a, b]
+redrawn from their truncated normal (exact; see ``_sweep_weights``). Once
+the chain is near its posterior few entries fall outside, so a row costs
+about one normal draw per entry rather than an inverse-CDF evaluation.
+
 All conditionals are evaluated in the log domain. The entrywise kernels
 (``weight_entry_params`` and the like) read the residual directly and
 serve as reference oracles; debug mode cross-checks the kept statistics,
@@ -45,6 +52,8 @@ from .model import (
     Hyperparameters,
     IdState,
     ObservedMatrix,
+    gram_rss,
+    gram_statistics,
     init_state,
     residual,
     sample_prior_rows,
@@ -161,24 +170,6 @@ def sample_weight_precision_entry(
 
 # ---------------------------------------------------------------------------
 # Gram statistics
-
-
-def gram_statistics(values: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = C^T C (K x K) and P = C^T A (K x N) of the basis C = values[:, j], formed afresh."""
-    c = values[:, j]
-    return c.T @ c, c.T @ values
-
-
-def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray) -> float:
-    """||A - C Y_J||^2 from the Gram statistics: ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>.
-
-    ``a_sq`` is ||A||^2. The three terms cancel near an exact fit, leaving
-    a rounding error of order eps * (||A||^2 + ||C Y_J||^2); the result is
-    floored at 0. The error does not accumulate across iterations, because
-    each evaluation reads the current statistics, which never drift.
-    """
-    rss = a_sq - 2.0 * float(np.vdot(y, proj)) + float(np.vdot(y, gram @ y))
-    return max(rss, 0.0)
 
 
 def _refresh_gram_slot(values, j, s, gram, proj) -> None:
@@ -306,25 +297,52 @@ def sample_state_vector(
 # full sweeps
 
 
+def _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s):
+    """Posterior (mean, precision) of row s of Y_J given the other rows, from G and P.
+
+    The likelihood term of row s, x_s^T (resid + x_s y_s), is P[s] -
+    G[s] @ Y_J + G[s, s] Y_J[s], so this costs O(KN) and reads neither the
+    data nor the residual. The prior arrays may be 0-d (gbt), which leaves
+    the precision 0-d, or K x N (gbtn).
+    """
+    if np.ndim(gtn_mu):
+        gtn_mu, gtn_tau = gtn_mu[s], gtn_tau[s]
+    g = gram[s, s]
+    like = proj[s] - gram[s] @ y + g * y[s]
+    tau_post = g / sigma2 + gtn_tau
+    mu_post = (like / sigma2 + gtn_tau * gtn_mu) / tau_post
+    return mu_post, tau_post
+
+
 def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
     """One systematic Gibbs scan over every entry of Y_J, in place.
 
     Rows are updated one at a time in slot order; within a row the entries
-    are conditionally independent, so each row is drawn in one vectorized
-    call. With G = C^T C and P = C^T A kept by the caller, the likelihood
-    term of row s, x_s^T (resid + x_s y_s), is P[s] - G[s] @ Y_J +
-    G[s, s] Y_J[s], so a row update costs O(KN) and the sweep O(K^2 N),
-    reading neither the data nor the residual. The prior arrays may be 0-d
-    (gbt) or K x N (gbtn); rows read them through ``np.broadcast_to``.
+    are conditionally independent, so each row is drawn at once, from the
+    parameters ``_weight_row_params`` gives in O(KN); the sweep costs
+    O(K^2 N).
+
+    A row is drawn normal-first: one plain normal N(mu, 1/tau) per entry,
+    then only the entries that fall outside [a, b] are redrawn from their
+    truncated normal by ``sample_gtn_array``. This is exact. With phi the
+    parent density and P(in), P(out) its mass inside and outside [a, b],
+    an entry lands at x in [a, b] with density phi(x) from the first draw
+    plus P(out) phi(x) / P(in) from the redraw, which is phi(x) / P(in),
+    the truncated density. Where the mean sits deep beyond a bound, most
+    entries are redrawn, and the redraw takes ``sample_gtn_array``'s
+    rejection sampler there. A row with no entry out of bounds consumes
+    exactly N standard normals.
     """
-    prior_mu = np.broadcast_to(gtn_mu, y.shape)
-    prior_tau = np.broadcast_to(gtn_tau, y.shape)
     for s in range(y.shape[0]):
-        g = gram[s, s]
-        like = proj[s] - gram[s] @ y + g * y[s]
-        tau_post = g / sigma2 + prior_tau[s]
-        mu_post = (like / sigma2 + prior_tau[s] * prior_mu[s]) / tau_post
-        y[s] = sample_gtn_array(mu_post, tau_post, a, b, rng)
+        mu_post, tau_post = _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s)
+        row = rng.standard_normal(mu_post.shape)
+        row /= np.sqrt(tau_post)
+        row += mu_post
+        out = (row < a) | (row > b)
+        if out.any():
+            tau_out = np.broadcast_to(tau_post, row.shape)[out]
+            row[out] = sample_gtn_array(mu_post[out], tau_out, a, b, rng)
+        y[s] = row
 
 
 def _update_weight_priors(state: IdState, hp: Hyperparameters, rng: np.random.Generator) -> None:

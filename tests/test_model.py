@@ -9,11 +9,12 @@ import scipy.linalg
 
 from bayesid import linalg
 from bayesid.errors import ConfigurationError
-from bayesid.linalg import dominant_columns
+from bayesid.linalg import dominant_columns, dominant_fit
 from bayesid.model import (
     Hyperparameters,
     ObservedMatrix,
     init_state,
+    sample_prior_rows,
     validate_state,
 )
 
@@ -152,6 +153,50 @@ class TestInitState:
             return sum(v.nbytes for v in vars(state).values() if isinstance(v, np.ndarray))
 
         assert state_bytes(10) == state_bytes(1000)
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    def test_weights_start_at_the_clipped_fit(self, variant):
+        rng = np.random.default_rng(15)
+        data = ObservedMatrix.fully_observed(rng.normal(size=(12, 9)))
+        hp = Hyperparameters(k=3, variant=variant, a=-0.5, b=0.5)
+        state = init_state(data, hp, np.random.default_rng(0))
+        columns, w = dominant_fit(data.values, 3)
+        npt.assert_array_equal(state.j, columns)
+        npt.assert_array_equal(state.y, np.clip(w, -0.5, 0.5))
+        npt.assert_array_equal(state.y[:, state.j], 0.5 * np.eye(3))
+        # no exchange is made here, so the unclipped weights are the
+        # least-squares fit on the set
+        lstsq = np.linalg.lstsq(data.values[:, columns], data.values, rcond=None)[0]
+        npt.assert_allclose(w, lstsq, atol=1e-10)
+        assert (state.gtn_mu.ndim == 2) == (variant == "gbtn")
+
+    def test_noise_variance_starts_at_the_fit_mean_square(self):
+        rng = np.random.default_rng(16)
+        data = ObservedMatrix.fully_observed(rng.normal(size=(10, 8)))
+        state = init_state(data, Hyperparameters(k=3), rng)
+        resid = data.values - data.values[:, state.j] @ state.y
+        npt.assert_allclose(state.sigma2, np.mean(resid**2), rtol=1e-10)
+        exact = init_state(ObservedMatrix.fully_observed(data.values[:, :3]), Hyperparameters(k=3), rng)
+        assert exact.sigma2 == 1e-6
+
+    def test_prior_draw_when_the_fit_is_undefined(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 6))
+        assert dominant_fit(a, 4)[1] is None
+        hp = Hyperparameters(k=4)
+        state = init_state(ObservedMatrix.fully_observed(a), hp, np.random.default_rng(0))
+        npt.assert_array_equal(state.y, sample_prior_rows(hp, 4, 6, np.random.default_rng(0))[0])
+
+    def test_does_not_allocate_an_m_by_n_array(self):
+        m, n = 400, 300
+        data = ObservedMatrix.fully_observed(np.random.default_rng(18).normal(size=(m, n)))
+        tracemalloc.start()
+        try:
+            init_state(data, Hyperparameters(k=10), np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
 
     def test_index_properties_partition(self):
         rng = np.random.default_rng(13)
