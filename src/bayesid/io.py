@@ -13,6 +13,15 @@ not listed is unobserved. Every CSV goes through ``write_csv``: the csv
 module's default dialect (RFC 4180 quoting where needed, CRLF line ends),
 floats with 17 significant digits so a save/load round trip is exact, and
 None as an empty field. JSON goes through ``write_json`` with sorted keys.
+
+A CSV may use RFC 4180 quoting, whitespace around a field, LF, CRLF or
+lone CR line ends, and any UTF-8 text in a skipped header; a field that
+holds only whitespace is an empty field. A plain numeric file, one that
+holds only digits, ``+-.eE``, commas, spaces and line ends (and a header
+line without a quote), is parsed by numpy's C parser. Any other file, and
+any plain one the C parser refuses, is read by the csv module's reader
+(``_csv_rows``), which alone raises the parse errors; both readers give
+the same values, bit for bit, and the same mask.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ FORMAT_CSV = "csv"
 FORMAT_MATRIX_MARKET = "matrix_market"
 
 _FLOAT_FMT = "%.17g"
+_DELETE_PLAIN = str.maketrans("", "", "0123456789+-.eE, ")
 _TRACE_BASE = ["iteration", "mse", "mse_observed", "sigma2"]
 
 
@@ -116,11 +126,24 @@ def open_output(path):
 
 
 def write_csv(path, rows) -> None:
-    """Write an iterable of rows; floats get 17 significant digits and None an empty field."""
+    """Write an iterable of rows; floats get 17 significant digits and None an empty field.
+
+    A row of floats alone is written with one ``%`` of a format made once per
+    width. That gives the bytes csv.writer gives, because the digits of a
+    float never need quoting; every other row goes through csv.writer.
+    """
     with open_output(path) as fh:
         writer = csv.writer(fh)
+        width, row_fmt = -1, ""
         for row in rows:
-            writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+            row = tuple(row)
+            if set(map(type, row)) == {float}:
+                if len(row) != width:
+                    width = len(row)
+                    row_fmt = ",".join([_FLOAT_FMT] * width) + "\r\n"
+                fh.write(row_fmt % row)
+            else:
+                writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
 
 
 def write_json(path, obj) -> None:
@@ -151,7 +174,69 @@ def load_matrix(path, fmt: str | None = None, has_header: bool = False) -> Obser
     return _load_matrix_market(path)
 
 
+class _NotPlain(Exception):
+    """A line numpy's C parser must not read; the file goes to the csv-module reader."""
+
+
+def _plain_lines(fh, has_header: bool):
+    """Yield the data lines of a plain numeric CSV, with every empty field spelled ``nan``.
+
+    Raises _NotPlain at a header line holding a quote or a NUL (the csv
+    module reads a quoted header across lines and refuses a NUL), at a
+    blank line, at a character other than digits, ``+-.eE``, commas and
+    spaces, and at the end of a file with no data line.
+    """
+    if has_header:
+        header = fh.readline()
+        if '"' in header or "\0" in header:
+            raise _NotPlain
+    seen = False
+    for line in fh:
+        body = line.rstrip("\r\n")
+        if not body or body.translate(_DELETE_PLAIN):
+            raise _NotPlain
+        if ",," in body:
+            # two passes: the first leaves one ",," of every ",,,"
+            body = body.replace(",,", ",nan,").replace(",,", ",nan,")
+        if body[0] == ",":
+            body = "nan" + body
+        if body[-1] == ",":
+            body += "nan"
+        seen = True
+        yield body
+    if not seen:
+        raise _NotPlain
+
+
+def _load_plain_csv(path: Path, has_header: bool) -> ObservedMatrix | None:
+    """Read a plain numeric CSV through ``np.loadtxt``; None for any file it must not read.
+
+    Lines stream from the open file, so no copy of the text is held. An
+    empty field reads as nan, which no plain field can spell, so the mask
+    is where the values are not nan. loadtxt converts each field with the
+    function ``float`` uses, so the values are those ``_csv_rows`` gives. A
+    file that is not plain, that loadtxt refuses (a ragged row, a field
+    that is not a number or holds only spaces), that does not open or
+    decode, or that holds an infinite value returns None, and the caller
+    reads it through the csv module, which reports the fault.
+    """
+    try:
+        with open_input(path) as fh:
+            values = np.loadtxt(_plain_lines(fh, has_header), delimiter=",", comments=None,
+                                quotechar=None, ndmin=2)
+    except (_NotPlain, ValueError, InputError):
+        return None
+    if np.isinf(values).any():
+        return None
+    unobserved = np.isnan(values)
+    values[unobserved] = 0.0
+    return ObservedMatrix(values=values, mask=~unobserved)
+
+
 def _load_csv(path: Path, has_header: bool) -> ObservedMatrix:
+    plain = _load_plain_csv(path, has_header)
+    if plain is not None:
+        return plain
     rows: list[list[float]] = []
     mask_rows: list[list[bool]] = []
     for line_no, row in _csv_rows(path, skip=1 if has_header else 0):
@@ -232,7 +317,8 @@ def save_matrix(path, data: ObservedMatrix, fmt: str | None = None) -> None:
     """Write an ObservedMatrix; the format round-trips through load_matrix."""
     path = Path(path)
     if _detect_format(path, fmt) == FORMAT_CSV:
-        write_csv(path, ([v if o else None for v, o in zip(vals.tolist(), obs.tolist())]
+        write_csv(path, (vals.tolist() if obs.all() else
+                         [v if o else None for v, o in zip(vals.tolist(), obs.tolist())]
                          for vals, obs in zip(data.values, data.mask)))
     else:
         m, n = data.shape
@@ -335,8 +421,7 @@ def read_trace_csv(path) -> GibbsTrace:
 
     The file does not record swaps, so ``accepted_swaps`` is None.
     """
-    rows = _csv_rows(path)
-    header = next(rows, (None, None))[1]
+    header = next(_csv_rows(path), (None, None))[1]
     if header is None:
         raise ParseError("empty trace file", line=1)
     if header[: len(_TRACE_BASE)] != _TRACE_BASE:
@@ -347,15 +432,14 @@ def read_trace_csv(path) -> GibbsTrace:
         if len(m) != 2 or not all(p.isdigit() for p in m) or not name.startswith("y_r"):
             raise ParseError(f"unexpected probe column {name!r}", line=1)
         probes.append((int(m[0]), int(m[1])))
-    values = []
-    for line_no, row in rows:
-        try:
-            values.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError(f"bad trace row {row!r}", line=line_no) from None
-    if not values:
-        raise ParseError("trace file has no data rows", line=1)
-    arr = np.array(values)
+    data = _load_csv(Path(path), has_header=True)
+    if data.shape[1] != len(header):
+        raise ParseError(f"expected {len(header)} fields, found {data.shape[1]}", line=2)
+    if not data.mask.all():
+        row, col = np.argwhere(~data.mask)[0]
+        line_no = next(no for r, (no, _) in enumerate(_csv_rows(path, skip=1)) if r == row)
+        raise ParseError("empty field in a trace", line=line_no, column=int(col) + 1)
+    arr = data.values
     return GibbsTrace(
         mse_per_iter=arr[:, 1],
         mse_observed_per_iter=arr[:, 2],

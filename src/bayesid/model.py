@@ -15,7 +15,7 @@ State memory is O(KN).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,11 @@ class IdState:
     prior arrays ``gtn_mu`` and ``gtn_tau`` broadcast against ``y``: 0-d
     under gbt, K x N under gbtn with rows following the slots; read entry
     (s, l) through ``np.broadcast_to(gtn_mu, y.shape)``.
+
+    ``_start_statistics`` is set by ``init_state`` and taken by the sampler
+    (``sampler._take_start_statistics``): the data array, J, ||A||^2, G and
+    P that ``init_state`` formed to set the noise variance, so the sampler
+    does not form them again. It is not part of the model.
     """
 
     j: np.ndarray
@@ -125,6 +130,7 @@ class IdState:
     sigma2: float
     gtn_mu: np.ndarray
     gtn_tau: np.ndarray
+    _start_statistics: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def basis_indices(self) -> np.ndarray:
@@ -209,7 +215,8 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     Y_J drawn from the joint prior (``sample_prior_rows``). The noise
     variance is the start fit's mean squared residual over all M x N
     entries, floored at 1e-6; it is computed from the Gram statistics,
-    without an M x N temporary.
+    without an M x N temporary, and those statistics stay on the state for
+    ``run_gibbs`` to take.
     """
     n = data.shape[1]
     if hp.k > n:
@@ -224,10 +231,12 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
         y = np.clip(w, hp.a, hp.b)
 
     a_sq = float(np.einsum("ij,ij->", data.values, data.values))
-    rss = gram_rss(a_sq, y, *gram_statistics(data.values, j))
-    sigma2 = max(rss / data.values.size, _SIGMA2_FLOOR)
+    gram, proj = gram_statistics(data.values, j)
+    sigma2 = max(gram_rss(a_sq, y, gram, proj) / data.values.size, _SIGMA2_FLOOR)
 
-    return IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
+    state = IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
+    state._start_statistics = (data.values, j.copy(), a_sq, gram, proj)
+    return state
 
 
 def validate_state(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> None:

@@ -444,8 +444,7 @@ def run_gibbs(
     rec = _TraceRecorder(hp.iterations, probes, data)
 
     values = data.values
-    a_sq = float(np.einsum("ij,ij->", values, values))
-    gram, proj = gram_statistics(values, state.j)
+    a_sq, gram, proj = _take_start_statistics(state, values)
     rss = gram_rss(a_sq, state.y, gram, proj)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(rss, data.shape, hp)
@@ -464,6 +463,18 @@ def run_gibbs(
             validate_state(state, data, hp)
             _check_gram_statistics(values, state, gram, proj, a_sq, rss)
     return state, rec.finish()
+
+
+def _take_start_statistics(state: IdState, values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """||A||^2, G and P of the state's basis, and the state lets go of them.
+
+    They are the ones ``init_state`` formed when it made this state from
+    ``values`` and J is unchanged since, else they are formed afresh.
+    """
+    saved, state._start_statistics = state._start_statistics, None
+    if saved is not None and saved[0] is values and np.array_equal(saved[1], state.j):
+        return saved[2:]
+    return float(np.einsum("ij,ij->", values, values)), *gram_statistics(values, state.j)
 
 
 def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyperparameters) -> GammaParams:

@@ -1,11 +1,13 @@
 """Matrix file formats, preprocessing, and result serialization."""
 
+import csv
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bayesid import io
 from bayesid.errors import ConfigurationError, InputError, ParseError
 from bayesid.io import (
     FORMAT_MATRIX_MARKET,
@@ -75,6 +77,136 @@ class TestCsvFormat:
         back = load_matrix(p)
         npt.assert_array_equal(back.values, data.values)
         npt.assert_array_equal(back.mask, mask)
+
+
+# (id, file bytes, has_header, whether numpy's C parser reads the file)
+_CSV_CASES = [
+    ("lf", b"1,2\n3,4\n", False, True),
+    ("crlf", b"1,2\r\n3,4\r\n", False, True),
+    ("lone-cr", b"1,2\r3,4\r", False, True),
+    ("no-final-newline", b"1,2\n3,4", False, True),
+    ("mixed-line-ends", b"1,2\r\n3,4\n5,6\r7,8", False, True),
+    ("blank-line-mid-file", b"1,2\n\n3,4\n", False, False),
+    ("blank-line-at-end", b"1,2\n3,4\n\n", False, False),
+    ("empty-fields", b",1,,,2,\n3,,4,5,6,\n,,,,,\n", False, True),
+    ("one-column-blank-line", b"1\n\n3\n", False, False),
+    ("one-column-empty-field", b'1\n""\n3\n', False, False),
+    ("one-column-spaces-field", b"1\n  \n3\n", False, False),
+    ("one-column", b"1\n-2.5\n3e2\n", False, True),
+    ("one-row", b"1,2,3", False, True),
+    ("quoted-numbers", b'"1.5",2\n3,"-4e1"\n', False, False),
+    ("quoted-empty-field", b'1,""\n3,4\n', False, False),
+    ("spaces-only-fields", b"1,  ,3\n4,5, \n", False, False),
+    ("surrounding-spaces", b" 1.5 , -2 \n3,  4\n", False, True),
+    ("tab-around-field", b"1,\t2\n3,4\n", False, False),
+    ("space-inside-field", b"1,2 3\n4,5\n", False, False),
+    ("nan", b"1,nan\n3,4\n", False, False),
+    ("inf", b"inf,2\n3,4\n", False, False),
+    ("overflow", b"1,2\n3,1e999\n", False, False),
+    ("negative-overflow", b"1,-1e999\n3,4\n", False, False),
+    ("underflow", b"1e-999,2\n", False, True),
+    ("underscore", b"1_0,2\n3,4\n", False, False),
+    ("lone-sign-and-point", b"1,-\n.,4\n", False, False),
+    ("signs-and-points", b"+.5,1.,-0,+0e-0\n", False, True),
+    ("letters", b"1,2\n3,oops\n", False, False),
+    ("ragged", b"1,2,3\n4,5\n", False, False),
+    ("ragged-empty-tail", b"1,2,3\n4,5,\n6,7\n", False, False),
+    ("empty-file", b"", False, False),
+    ("bom", b"\xef\xbb\xbf1,2\n3,4\n", False, False),
+    ("bom-in-header", b"\xef\xbb\xbfa,b\n1,2\n", True, True),
+    ("invalid-utf8", b"1,2\n\xff,4\n", False, False),
+    ("invalid-utf8-late", b"1,2\n" * 3000 + b"\xff,4\n", False, False),
+    ("invalid-utf8-in-header", b"a\xff,b\n1,2\n", True, False),
+    ("header", b"colA,colB\n1.5,-2\n", True, True),
+    ("header-only", b"colA,colB\n", True, False),
+    ("header-crlf-with-empty-fields", b"a,b,c\r\n1,,3\r\n,5,\r\n", True, True),
+    ("quoted-header", b'"a","b"\n1,2\n', True, False),
+    ("quoted-header-two-lines", b'"col\nA",colB\n1,2\n', True, False),
+    ("unclosed-quote-header", b'"a\n1,2\n3,4\n', True, False),
+    ("hard-rounding", b"2.2250738585072011e-308,9007199254740993,5e-324,2.4703282292062328e-324\n"
+     b"1.00000000000000011102230246251565404236316680908203125,0.30000000000000001665,"
+     b"9007199254740991.5,4.9406564584124654e-324\n", False, True),
+    ("halfway-17-digit", b"1.0000000000000001,0.10000000000000001,123456789012345678,"
+     b"1.7976931348623157e308\n", False, True),
+]
+
+
+class TestCsvReaderEquivalence:
+    """Every CSV gives what the csv-module reader (``_csv_rows``) gives: the
+    same value bits and mask, or the same error, message and location."""
+
+    @staticmethod
+    def _outcome(path, has_header):
+        try:
+            data = load_matrix(path, has_header=has_header)
+        except (ParseError, InputError) as exc:
+            return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+        return data.values.view(np.uint64).tolist(), data.mask.tolist()
+
+    @pytest.mark.parametrize("text, has_header, plain", [c[1:] for c in _CSV_CASES],
+                             ids=[c[0] for c in _CSV_CASES])
+    def test_same_result_as_csv_module_reader(self, tmp_path, monkeypatch, text, has_header, plain):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text)
+        assert (io._load_plain_csv(p, has_header) is not None) == plain
+        got = self._outcome(p, has_header)
+        monkeypatch.setattr(io, "_load_plain_csv", lambda path, has_header: None)
+        assert got == self._outcome(p, has_header)
+
+    def test_workload_shaped_file_takes_the_c_parser(self, tmp_path):
+        rng = np.random.default_rng(331)
+        mask = rng.uniform(size=(50, 40)) >= 0.1
+        values = np.where(mask, rng.normal(size=mask.shape) * 10.0 ** rng.integers(-5, 5, mask.shape), 0.0)
+        p = tmp_path / "a.csv"
+        p.write_text("".join(",".join("%.17g" % v if o else "" for v, o in zip(vals, obs)) + "\n"
+                             for vals, obs in zip(values.tolist(), mask.tolist())))
+        data = io._load_plain_csv(p, False)
+        assert data is not None
+        npt.assert_array_equal(data.values.view(np.uint64), values.view(np.uint64))
+        npt.assert_array_equal(data.mask, mask)
+
+
+def _reference_csv_bytes(path, data):
+    """The bytes of ``data`` written row by row through csv.writer, floats at %.17g."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        for vals, obs in zip(data.values.tolist(), data.mask.tolist()):
+            row = [v if o else None for v, o in zip(vals, obs)]
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize("values, mask", [
+        pytest.param([[1.5, -2.0, 3.0], [4.0, 0.0, 6.0], [0.0, 0.0, 0.0]],
+                     [[True, True, True], [True, False, True], [False, False, False]], id="masked-rows"),
+        pytest.param([[1.0], [0.0], [-3.5]], [[True], [False], [True]], id="one-column-unobserved"),
+        pytest.param([[-0.0, 5e-324, 1e-300, 1e300], [np.pi, -1e300, 0.1, 2.0 ** 53 + 2]],
+                     [[True] * 4, [True] * 4], id="extreme-values"),
+    ])
+    def test_bytes_equal_csv_writer_reference(self, tmp_path, values, mask):
+        mask = np.array(mask)
+        data = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask)
+        save_matrix(tmp_path / "a.csv", data)
+        assert (tmp_path / "a.csv").read_bytes() == _reference_csv_bytes(tmp_path / "ref.csv", data)
+        back = load_matrix(tmp_path / "a.csv")
+        npt.assert_array_equal(back.values.view(np.uint64), data.values.view(np.uint64))
+        npt.assert_array_equal(back.mask, data.mask)
+
+    def test_one_column_unobserved_entry_written_quoted_empty(self, tmp_path):
+        data = ObservedMatrix(values=[[1.0], [0.0]], mask=[[True], [False]])
+        save_matrix(tmp_path / "a.csv", data)
+        assert (tmp_path / "a.csv").read_bytes() == b'1\r\n""\r\n'
+
+    def test_random_matrices_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(337)
+        for shape in ((200, 20), (20, 100)):
+            data = ObservedMatrix.fully_observed(rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape))
+            save_matrix(tmp_path / "a.csv", data)
+            assert (tmp_path / "a.csv").read_bytes() == _reference_csv_bytes(tmp_path / "ref.csv", data)
+            back = load_matrix(tmp_path / "a.csv")
+            npt.assert_array_equal(back.values.view(np.uint64), data.values.view(np.uint64))
+            assert back.mask.all()
 
 
 class TestMatrixMarketFormat:
@@ -324,3 +456,10 @@ class TestTraceCsv:
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError):
             read_trace_csv(tmp_path / "nope.csv")
+
+    def test_empty_field_rejected_at_its_location(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("iteration,mse,mse_observed,sigma2,y_r0_c0\n1,0.5,0.5,0.1,0.2\n2,0.4,,0.1,0.3\n")
+        with pytest.raises(ParseError) as exc:
+            read_trace_csv(p)
+        assert (exc.value.line, exc.value.column) == (3, 3)

@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 from scipy.special import logsumexp
 
-from bayesid import sampler
+from bayesid import model, sampler
 from bayesid.distributions import _log_interval_mass
 from bayesid.errors import ConfigurationError, InputError, NumericalError
 from bayesid.model import (
@@ -703,6 +703,36 @@ class TestRunGibbs:
         monkeypatch.setattr(sampler, "init_state", no_init)
         with pytest.raises(ConfigurationError, match="probe"):
             run_gibbs(data, hp, np.random.default_rng(0), probe_positions=[(0, 0), probe])
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    def test_start_gram_statistics_formed_once(self, monkeypatch, variant):
+        rng = np.random.default_rng(229)
+        data = ObservedMatrix.fully_observed(duplicated_id_matrix(30, 10, 3, rng, noise=0.1))
+        hp = Hyperparameters(k=3, variant=variant, iterations=15, burn_in=5, thinning=1)
+        calls = []
+
+        def counted(values, j):
+            calls.append(j.copy())
+            return gram_statistics(values, j)
+
+        monkeypatch.setattr(model, "gram_statistics", counted)
+        monkeypatch.setattr(sampler, "gram_statistics", counted)
+        state, trace = run_gibbs(data, hp, np.random.default_rng(5))
+        assert len(calls) == 1
+
+        # a start state that does not carry them (or whose basis moved) gets
+        # them formed afresh, and the chain is the same
+        def rebuilt_init(data, hp, rng):
+            s = init_state(data, hp, rng)
+            return IdState(j=s.j.copy(), y=s.y, sigma2=s.sigma2, gtn_mu=s.gtn_mu, gtn_tau=s.gtn_tau)
+
+        monkeypatch.setattr(sampler, "init_state", rebuilt_init)
+        calls.clear()
+        again, again_trace = run_gibbs(data, hp, np.random.default_rng(5))
+        assert len(calls) == 2
+        npt.assert_array_equal(again.y, state.y)
+        npt.assert_array_equal(again_trace.mse_per_iter, trace.mse_per_iter)
+        npt.assert_array_equal(again_trace.sigma2_chain, trace.sigma2_chain)
 
     def test_loss_trend_downward_on_noisy_instance(self, monkeypatch):
         rng = np.random.default_rng(223)
