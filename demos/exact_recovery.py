@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from bayesid.linalg import dominant_columns
+from bayesid.linalg import dominant_fit
 from bayesid.model import Hyperparameters, ObservedMatrix
 from bayesid.sampler import run_gibbs
 
@@ -53,7 +53,7 @@ def main():
     print("\nexactly the true rank (k = 5):")
     trace = run_once(data, 5, args.seed)
 
-    start = dominant_columns(a, 5)
+    start = dominant_fit(a, 5)[0]
     weights = np.linalg.lstsq(a[:, start], a, rcond=None)[0]
     planted = set(start % 20) == set(range(5))
     m, n = a.shape

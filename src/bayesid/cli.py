@@ -211,17 +211,18 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
     return canonical.c, canonical.w, meta, trace
 
 
-def _load_into(out_dir, args, prep):
-    """Create the output directory, then read and preprocess the input.
+def _load_into(out_dir, args, prep, run) -> int:
+    """Create the output directory, read and preprocess the input, and return ``run(raw, data)``.
 
     An unusable output path stops the run before the input is read. If the
-    input then fails, the directories created here are removed again while
-    they are empty, so a failed run leaves no stray directory behind.
+    input or ``run`` then fails, the directories created here are removed
+    again while they are empty, so a failed run leaves no stray directory
+    behind.
     """
     created = make_output_dir(out_dir)
     try:
         raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-        return raw, preprocess(raw, prep)
+        return run(raw, preprocess(raw, prep))
     except BaseException:
         remove_empty_dirs(created)
         raise
@@ -233,29 +234,32 @@ def cmd_decompose(args) -> int:
     if args.oversample is not None and args.method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
     _check_run_flags(args, [args.k])
-    raw, data = _load_into(out_dir, args, prep)
-    c, w, result, trace = _decompose(
-        data, args.method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
-        args.oversample,
-    )
-    meta = {
-        "command": "decompose",
-        "method": args.method,
-        "k": args.k,
-        "seed": args.seed,
-        **_prep_metadata(prep, raw.shape, data.shape),
-        **result,
-    }
-    save_result(out_dir, c, w, meta)
-    if trace is None:
-        print(f"method=rid k={args.k} mse={result['mse']:.6g} max_abs_w={result['max_abs_w']:.6g}")
+
+    def run(raw, data) -> int:
+        c, w, result, trace = _decompose(
+            data, args.method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
+            args.oversample,
+        )
+        meta = {
+            "command": "decompose",
+            "method": args.method,
+            "k": args.k,
+            "seed": args.seed,
+            **_prep_metadata(prep, raw.shape, data.shape),
+            **result,
+        }
+        save_result(out_dir, c, w, meta)
+        if trace is None:
+            print(f"method=rid k={args.k} mse={result['mse']:.6g} max_abs_w={result['max_abs_w']:.6g}")
+            return 0
+        write_trace_csv(out_dir / "trace.csv", trace)
+        print(
+            f"method={args.method} k={args.k} mse={result['mse']:.6g} "
+            f"posterior_mean_mse={result['mse_posterior_mean']:.6g} mixing={result['mixing']}"
+        )
         return 0
-    write_trace_csv(out_dir / "trace.csv", trace)
-    print(
-        f"method={args.method} k={args.k} mse={result['mse']:.6g} "
-        f"posterior_mean_mse={result['mse_posterior_mean']:.6g} mixing={result['mixing']}"
-    )
-    return 0
+
+    return _load_into(out_dir, args, prep, run)
 
 
 _CELL_KEYS = ("mse", "mse_observed", "max_abs_w", "magnitude_excess")
@@ -266,39 +270,41 @@ def cmd_benchmark(args) -> int:
     prep = _prep_from_args(args)
     ks = list(args.k)
     _check_run_flags(args, ks)
-    _, data = _load_into(out_dir, args, prep)
 
-    rows = []
-    timings = []
-    for k in ks:
-        for method in (METHOD_GBT, METHOD_RID):
-            started = time.perf_counter()
-            try:
-                _, _, result, trace = _decompose(
-                    data, method, k, args.seed, args.iterations, args.burn_in, args.thinning,
-                    args.oversample,
-                )
-                cell = {key: result[key] for key in _CELL_KEYS}
-                if trace is not None:
-                    # gbt cells are posterior means over the kept iterations
-                    keep = kept_iterations(args.iterations, args.burn_in, args.thinning)
-                    cell["mse"] = result["mse_posterior_mean"]
-                    cell["mse_observed"] = float(np.mean(trace.mse_observed_per_iter[keep]))
-                status = "ok"
-            except BayesidError as exc:
-                cell = dict.fromkeys(_CELL_KEYS)
-                status = f"{_category(exc)[1]}: {exc}"
-            timings.append([k, method, f"{time.perf_counter() - started:.3f}"])
-            rows.append([k, method, *(cell[key] for key in _CELL_KEYS), status])
+    def run(_, data) -> int:
+        rows = []
+        timings = []
+        for k in ks:
+            for method in (METHOD_GBT, METHOD_RID):
+                started = time.perf_counter()
+                try:
+                    _, _, result, trace = _decompose(
+                        data, method, k, args.seed, args.iterations, args.burn_in, args.thinning,
+                        args.oversample,
+                    )
+                    cell = {key: result[key] for key in _CELL_KEYS}
+                    if trace is not None:
+                        # gbt cells are posterior means over the kept iterations
+                        keep = kept_iterations(args.iterations, args.burn_in, args.thinning)
+                        cell["mse"] = result["mse_posterior_mean"]
+                        cell["mse_observed"] = float(np.mean(trace.mse_observed_per_iter[keep]))
+                    status = "ok"
+                except BayesidError as exc:
+                    cell = dict.fromkeys(_CELL_KEYS)
+                    status = f"{_category(exc)[1]}: {exc}"
+                timings.append([k, method, f"{time.perf_counter() - started:.3f}"])
+                rows.append([k, method, *(cell[key] for key in _CELL_KEYS), status])
 
-    write_csv(out_dir / "benchmark.csv", [["k", "method", *_CELL_KEYS, "status"], *rows])
-    # wall times are inherently nondeterministic, so they live apart from
-    # the reproducible artifacts
-    write_csv(out_dir / "timings.csv", [["k", "method", "seconds"], *timings])
-    for k, method, loss, *_, status in rows:
-        loss = "" if loss is None else f"{loss:.6g}"
-        print(f"k={k} method={method} mse={loss} status={status}")
-    return 0
+        write_csv(out_dir / "benchmark.csv", [["k", "method", *_CELL_KEYS, "status"], *rows])
+        # wall times are inherently nondeterministic, so they live apart from
+        # the reproducible artifacts
+        write_csv(out_dir / "timings.csv", [["k", "method", "seconds"], *timings])
+        for k, method, loss, *_, status in rows:
+            loss = "" if loss is None else f"{loss:.6g}"
+            print(f"k={k} method={method} mse={loss} status={status}")
+        return 0
+
+    return _load_into(out_dir, args, prep, run)
 
 
 def cmd_synth(args) -> int:

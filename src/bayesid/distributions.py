@@ -54,21 +54,20 @@ class GtnParams:
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Shape/rate parameterization, density proportional to x^(shape-1) exp(-rate x)."""
+    """Shape/rate parameterization, density proportional to x^(shape-1) exp(-rate x).
+
+    Either field may be an array, one parameter per element, as numpy's
+    Gamma sampler and scipy's distributions accept.
+    """
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.shape) and self.shape > 0):
+        if not np.all(np.isfinite(self.shape) & (np.asarray(self.shape) > 0)):
             raise InvalidParameterError(f"shape must be finite and positive, got {self.shape}")
-        if not (np.isfinite(self.rate) and self.rate > 0):
+        if not np.all(np.isfinite(self.rate) & (np.asarray(self.rate) > 0)):
             raise InvalidParameterError(f"rate must be finite and positive, got {self.rate}")
-
-
-def normal_cdf(x):
-    """Standard normal CDF, accurate to better than 1e-12 absolute everywhere."""
-    return ndtr(x)
 
 
 def _log_interval_mass(alpha, beta):

@@ -152,14 +152,6 @@ def _geqp3_rows(a: np.ndarray, k: int):
     return perm - 1, np.triu(fac[:k])
 
 
-def dominant_columns(a, k: int) -> np.ndarray:
-    """K column indices of a, ascending, on which every column's weights lie in [-1, 1].
-
-    The column set of ``dominant_fit``, without its weights.
-    """
-    return dominant_fit(a, k)[0]
-
-
 def dominant_fit(a, k: int):
     """A dominant K-column set of a, ascending, and every column's weights on it.
 

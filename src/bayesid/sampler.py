@@ -29,10 +29,13 @@ redrawn from their truncated normal (exact; see ``_sweep_weights``). Once
 the chain is near its posterior few entries fall outside, so a row costs
 about one normal draw per entry rather than an inverse-CDF evaluation.
 
-All conditionals are evaluated in the log domain. The entrywise kernels
-(``weight_entry_params`` and the like) read the residual directly and
-serve as reference oracles; debug mode cross-checks the kept statistics,
-the loss and the swap odds against full recomputations every iteration.
+All conditionals are evaluated in the log domain. Each conditional has one
+sampler, the vectorised one the loop runs. The entrywise functions
+(``weight_entry_params`` and the like) give a conditional's parameters
+only, read from the residual directly; they are the references the
+acceptance tests check the run's draws against. Debug mode cross-checks
+the kept statistics, the loss and the swap odds against full
+recomputations every iteration.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def _sigmoid(log_odds: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conditional posteriors, one entry at a time (reference kernels)
+# conditional parameters, one entry at a time (references for the draws
+# of _sweep_weights, the sigma^2 draw in run_gibbs and _update_weight_priors)
 
 
 def weight_entry_params(state: IdState, data: ObservedMatrix, s: int, l: int) -> tuple[float, float]:
@@ -109,28 +113,10 @@ def weight_entry_params(state: IdState, data: ObservedMatrix, s: int, l: int) ->
     return mu_post, tau_post
 
 
-def sample_weight_entry(
-    state: IdState, data: ObservedMatrix, s: int, l: int, hp: Hyperparameters, rng: np.random.Generator
-) -> float:
-    """Gibbs update of the single weight y[s, l], in place."""
-    mu_post, tau_post = weight_entry_params(state, data, s, l)
-    draw = float(sample_gtn_array(mu_post, tau_post, hp.a, hp.b, rng).reshape(()))
-    state.y[s, l] = draw
-    return draw
-
-
 def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> GammaParams:
     """Inverse-Gamma posterior parameters for sigma^2 at the current factors."""
     rss = float(np.sum(residual(data.values, state.y, state.j) ** 2))
     return noise_variance_params_from_rss(rss, data.shape, hp)
-
-
-def sample_noise_variance(
-    state: IdState, data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator
-) -> float:
-    p = noise_variance_params(state, data, hp)
-    state.sigma2 = sample_inverse_gamma(p, rng)
-    return state.sigma2
 
 
 def weight_mean_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int) -> tuple[float, float]:
@@ -142,30 +128,15 @@ def weight_mean_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int
     return m_post, t_post
 
 
-def sample_weight_mean_entry(
-    state: IdState, hp: Hyperparameters, k: int, l: int, rng: np.random.Generator
-) -> float:
-    m_post, t_post = weight_mean_entry_params(state, hp, k, l)
-    draw = float(rng.normal(m_post, 1.0 / np.sqrt(t_post)))
-    state.gtn_mu[k, l] = draw
-    return draw
-
-
 def weight_precision_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int) -> GammaParams:
-    """Gamma posterior for the prior precision at (k, l); hierarchical variant only."""
+    """Gamma posterior for the prior precision at (k, l); hierarchical variant only.
+
+    k and l may be index arrays, which give an array rate, one per entry.
+    """
     if hp.variant != VARIANT_GBTN:
         raise ConfigurationError("weight-precision updates exist only under the gbtn variant")
     dev = state.y[k, l] - state.gtn_mu[k, l]
     return GammaParams(shape=hp.alpha_t + 0.5, rate=hp.beta_t + 0.5 * dev * dev)
-
-
-def sample_weight_precision_entry(
-    state: IdState, hp: Hyperparameters, k: int, l: int, rng: np.random.Generator
-) -> float:
-    p = weight_precision_entry_params(state, hp, k, l)
-    draw = max(float(rng.gamma(p.shape, 1.0 / p.rate)), np.finfo(float).tiny)
-    state.gtn_tau[k, l] = draw
-    return draw
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,18 @@ import scipy.stats
 from bayesid import diagnostics
 from bayesid.cli import main
 from bayesid.diagnostics import autocorrelation, iterations_to_plateau, posterior_mean_mse
+from bayesid.distributions import sample_inverse_gamma
 from bayesid.errors import DegenerateChainError
 from bayesid.io import load_matrix
-from bayesid.model import Hyperparameters, ObservedMatrix
+from bayesid.model import Hyperparameters, IdState, ObservedMatrix, gram_rss, gram_statistics
 from bayesid.postprocess import extract_canonical
 from bayesid.rid import max_magnitude_excess, randomized_id
 from bayesid.sampler import (
+    _sweep_weights,
+    _update_weight_priors,
     noise_variance_params,
+    noise_variance_params_from_rss,
     run_gibbs,
-    sample_noise_variance,
-    sample_weight_entry,
-    sample_weight_mean_entry,
-    sample_weight_precision_entry,
     weight_entry_params,
     weight_mean_entry_params,
     weight_precision_entry_params,
@@ -155,12 +155,16 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
             _rel(g.rate, hp.beta_t + 0.5 * (state.y[k, l] - state.gtn_mu[k, l]) ** 2),
         )
 
+    # the draws come from the kernels run_gibbs runs, each given 100,000
+    # copies of one entry's conditional at once
     draws_per = 100_000
+    uniform_edges, uniform_probs = np.linspace(0.0, 1.0, 13), np.full(12, 1.0 / 12)
     worst_tv = 0.0
     for seed in (400, 401, 402, 403, 404):
         data, hp, state = _gbtn_frozen(seed)
         n = data.shape[1]
         rng = np.random.default_rng(seed)
+        gram, proj = gram_statistics(data.values, state.j)
 
         # truncated-normal weight kernel, at a position whose parent normal
         # puts nonnegligible mass inside [-1, 1]
@@ -178,36 +182,41 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         k, l, mu, sd, mass = pos
         edges = np.linspace(-1.0, 1.0, 13)
         probs = np.diff(scipy.stats.norm.cdf(edges, loc=mu, scale=sd)) / mass
-        draws = np.empty(draws_per)
-        saved = state.y[k, l]
-        for t in range(draws_per):
-            draws[t] = sample_weight_entry(state, data, k, l, hp, rng)
-        state.y[k, l] = saved
-        worst_tv = max(worst_tv, _tv(draws, edges, probs))
+        # the sweep on slot k alone (K = 1), every column carrying entry
+        # (k, l)'s likelihood term and prior
+        like = proj[k, l] - gram[k] @ state.y[:, l] + gram[k, k] * state.y[k, l]
+        row = np.full((1, draws_per), state.y[k, l])
+        _sweep_weights(
+            row, gram[k:k + 1, k:k + 1], np.full((1, draws_per), like), state.sigma2,
+            np.full((1, draws_per), state.gtn_mu[k, l]), np.full((1, draws_per), state.gtn_tau[k, l]),
+            hp.a, hp.b, rng,
+        )
+        worst_tv = max(worst_tv, _tv(row[0], edges, probs))
 
         p = noise_variance_params(state, data, hp)
         edges, probs = _equiprobable(scipy.stats.invgamma(p.shape, scale=p.rate))
-        saved = state.sigma2
-        for t in range(draws_per):
-            draws[t] = sample_noise_variance(state, data, hp, rng)
-        state.sigma2 = saved
+        rss = gram_rss(float(np.sum(data.values ** 2)), state.y, gram, proj)
+        draws = sample_inverse_gamma(noise_variance_params_from_rss(rss, data.shape, hp), rng, size=draws_per)
         worst_tv = max(worst_tv, _tv(draws, edges, probs))
 
+        # the prior updates on 100,000 copies of entry (0, 0)
         m_post, t_post = weight_mean_entry_params(state, hp, 0, 0)
         edges, probs = _equiprobable(scipy.stats.norm(loc=m_post, scale=t_post ** -0.5))
-        saved = state.gtn_mu[0, 0]
-        for t in range(draws_per):
-            draws[t] = sample_weight_mean_entry(state, hp, 0, 0, rng)
-        state.gtn_mu[0, 0] = saved
-        worst_tv = max(worst_tv, _tv(draws, edges, probs))
+        entry = IdState(
+            j=state.j[:1].copy(),
+            y=np.full((1, draws_per), state.y[0, 0]),
+            sigma2=state.sigma2,
+            gtn_mu=np.full((1, draws_per), state.gtn_mu[0, 0]),
+            gtn_tau=np.full((1, draws_per), state.gtn_tau[0, 0]),
+        )
+        _update_weight_priors(entry, hp, rng)
+        worst_tv = max(worst_tv, _tv(entry.gtn_mu[0], edges, probs))
 
-        g = weight_precision_entry_params(state, hp, 0, 0)
-        edges, probs = _equiprobable(scipy.stats.gamma(g.shape, scale=1.0 / g.rate))
-        saved = state.gtn_tau[0, 0]
-        for t in range(draws_per):
-            draws[t] = sample_weight_precision_entry(state, hp, 0, 0, rng)
-        state.gtn_tau[0, 0] = saved
-        worst_tv = max(worst_tv, _tv(draws, edges, probs))
+        # each tau is drawn given its own new mu, so its law differs per
+        # draw; its probability-integral transform is uniform under the law
+        g = weight_precision_entry_params(entry, hp, 0, np.arange(draws_per))
+        pit = scipy.stats.gamma.cdf(entry.gtn_tau[0], g.shape, scale=1.0 / g.rate)
+        worst_tv = max(worst_tv, _tv(pit, uniform_edges, uniform_probs))
 
     ok = worst_param < 1e-10 and worst_tv <= 0.01
     _report(

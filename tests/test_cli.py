@@ -193,6 +193,14 @@ class TestErrorExits:
         assert capsys.readouterr().err.startswith("error: input: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("method", ["gbt", "rid"])
+    def test_failed_decomposition_removes_created_output_dirs(self, tmp_path, capsys, method):
+        src = _synth(tmp_path, cols=20)
+        out = tmp_path / "out" / "deep"
+        assert main(["decompose", str(src), "--out", str(out), "--method", method, "--k", "500"]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_input_keeps_existing_dirs(self, tmp_path):
         absent = str(tmp_path / "absent.csv")
         keep = tmp_path / "keep"

@@ -14,7 +14,6 @@ from bayesid.distributions import (
     GammaParams,
     GtnParams,
     gtn_log_pdf,
-    normal_cdf,
     sample_gamma,
     sample_gtn,
     sample_gtn_array,
@@ -33,30 +32,6 @@ def _ks_stat(draws, cdf):
     upper = np.max(np.arange(1, n + 1) / n - grid)
     lower = np.max(grid - np.arange(0, n) / n)
     return max(upper, lower)
-
-
-class TestNormalCdf:
-    def test_zero_is_half(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_upper_975_quantile(self):
-        assert abs(normal_cdf(1.959964) - 0.975) <= 1e-6
-
-    def test_deep_left_tail_positive_and_tiny(self):
-        v = normal_cdf(-8.0)
-        assert 0.0 < v < 1e-14
-
-    def test_matches_quadrature_of_density(self):
-        # independent oracle: adaptive integration of the standard normal pdf
-        pdf = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-        for x in (-3.0, -1.0, 0.5, 2.0):
-            ref, _ = scipy.integrate.quad(pdf, -np.inf, x)
-            assert abs(normal_cdf(x) - ref) <= 1e-12
-
-    def test_complement_identity(self):
-        xs = np.linspace(-10.0, 10.0, 401)
-        for x in xs:
-            assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-14
 
 
 class TestGtnParamsValidation:

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from bayesid import linalg
 from bayesid.errors import ConfigurationError
-from bayesid.linalg import dominant_columns, dominant_fit
+from bayesid.linalg import dominant_fit
 from bayesid.model import (
     Hyperparameters,
     ObservedMatrix,
@@ -236,7 +236,7 @@ class TestDominantStart:
     def test_pivots_unchanged_when_k_exceeds_rank(self):
         a = self._rank_k(5, k=3)
         perm = scipy.linalg.qr(a, pivoting=True)[2]
-        npt.assert_array_equal(dominant_columns(a, 6), np.sort(perm[:6]))
+        npt.assert_array_equal(dominant_fit(a, 6)[0], np.sort(perm[:6]))
         state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=6), np.random.default_rng(1))
         npt.assert_array_equal(state.basis_indices, np.sort(perm[:6]))
 
@@ -244,7 +244,7 @@ class TestDominantStart:
         a = np.zeros((8, 7))
         a[:, [1, 4]] = np.random.default_rng(7).normal(size=(8, 2))
         perm = scipy.linalg.qr(a, pivoting=True)[2]
-        npt.assert_array_equal(dominant_columns(a, 4), np.sort(perm[:4]))
+        npt.assert_array_equal(dominant_fit(a, 4)[0], np.sort(perm[:4]))
 
     @staticmethod
     def _pivot_instance(kind):
@@ -289,20 +289,20 @@ class TestDominantStart:
         perm = scipy.linalg.qr(a, pivoting=True)[2]
         # duplicates may swap places, but the chosen columns hold the same values
         npt.assert_array_equal(a[:, fac[0][:k]], a[:, perm[:k]])
-        assert self._max_lstsq_weight(a, dominant_columns(a, k)) <= 1.0 + 1e-8
+        assert self._max_lstsq_weight(a, dominant_fit(a, k)[0]) <= 1.0 + 1e-8
 
     def test_start_set_matches_the_full_geqp3_start(self, monkeypatch):
         a = duplicated_id_matrix(100, 25, 5, np.random.default_rng(41), noise=0.05)
-        chosen = dominant_columns(a, 10)
+        chosen = dominant_fit(a, 10)[0]
         monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: None)
-        npt.assert_array_equal(chosen, dominant_columns(a, 10))
+        npt.assert_array_equal(chosen, dominant_fit(a, 10)[0])
 
     def test_does_not_copy_the_matrix(self):
         m, n, k = 400, 300, 10
         a = np.random.default_rng(43).normal(size=(m, n))
         tracemalloc.start()
         try:
-            dominant_columns(a, k)
+            dominant_fit(a, k)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,13 +324,13 @@ class TestDominantStart:
         if case != "k-equals-cols":
             assert linalg._truncated_cpqr(a, k) is None
         perm = scipy.linalg.qr(a, pivoting=True)[2]
-        npt.assert_array_equal(dominant_columns(a, k), np.sort(perm[:k]))
+        npt.assert_array_equal(dominant_fit(a, k)[0], np.sort(perm[:k]))
 
     def test_overflowing_norms_fall_back_to_geqp3(self):
         a = np.random.default_rng(53).normal(size=(12, 9))
         huge = a * 2.0**700  # exact scaling whose squared norms overflow
         assert linalg._truncated_cpqr(huge, 4) is None
-        npt.assert_array_equal(dominant_columns(huge, 4), dominant_columns(a, 4))
+        npt.assert_array_equal(dominant_fit(huge, 4)[0], dominant_fit(a, 4)[0])
 
 
 class TestRebuildAndValidate:
