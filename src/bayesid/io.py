@@ -181,6 +181,8 @@ class _NotPlain(Exception):
 def _plain_lines(fh, has_header: bool):
     """Yield the data lines of a plain numeric CSV, with every empty field spelled ``nan``.
 
+    A field of spaces only counts as empty.
+
     Raises _NotPlain at a header line holding a quote or a NUL (the csv
     module reads a quoted header across lines and refuses a NUL), at a
     blank line, at a character other than digits, ``+-.eE``, commas and
@@ -195,10 +197,13 @@ def _plain_lines(fh, has_header: bool):
         body = line.rstrip("\r\n")
         if not body or body.translate(_DELETE_PLAIN):
             raise _NotPlain
+        if " " in body:
+            # a field of spaces only is empty, as _csv_rows reads it
+            body = ",".join(field if field.strip(" ") else "" for field in body.split(","))
         if ",," in body:
             # two passes: the first leaves one ",," of every ",,,"
             body = body.replace(",,", ",nan,").replace(",,", ",nan,")
-        if body[0] == ",":
+        if not body or body[0] == ",":
             body = "nan" + body
         if body[-1] == ",":
             body += "nan"
@@ -215,10 +220,10 @@ def _load_plain_csv(path: Path, has_header: bool) -> ObservedMatrix | None:
     empty field reads as nan, which no plain field can spell, so the mask
     is where the values are not nan. loadtxt converts each field with the
     function ``float`` uses, so the values are those ``_csv_rows`` gives. A
-    file that is not plain, that loadtxt refuses (a ragged row, a field
-    that is not a number or holds only spaces), that does not open or
-    decode, or that holds an infinite value returns None, and the caller
-    reads it through the csv module, which reports the fault.
+    file that is not plain, that loadtxt refuses (a ragged row or a field
+    that is not a number), that does not open or decode, or that holds an
+    infinite value returns None, and the caller reads it through the csv
+    module, which reports the fault.
     """
     try:
         with open_input(path) as fh:

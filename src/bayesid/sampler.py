@@ -11,7 +11,7 @@ the sufficient statistics G = C^T C and P = C^T A of the basis C = A[:, J]
 for the whole run (as in Schmidt, Winther & Hansen's Bayesian NMF sampler,
 ICA 2009):
 
-* a weight row update reads ``P[s] - G[s] @ Y_J``, O(KN);
+* a weight sweep reads ``P - G @ Y_J`` a row at a time, O(K^2 N);
 * the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N);
 * a swap proposal reads x^T R as ``x^T A - (x^T C) @ Y_J``, O(MN);
 * an accepted swap recomputes one row and column of G and one row of P
@@ -23,11 +23,22 @@ the N - K columns outside the basis are not stored: the swap draws the
 incoming row from its prior when it proposes it.
 
 The chain starts at the dominant column set's clipped least-squares fit
-(``model.init_state``), and the sweep draws each row normal-first: one
+(``model.init_state``), and the sweep draws each entry normal-first: one
 plain normal per entry, with only the entries that fall outside [a, b]
 redrawn from their truncated normal (exact; see ``_sweep_weights``). Once
-the chain is near its posterior few entries fall outside, so a row costs
-about one normal draw per entry rather than an inverse-CDF evaluation.
+the chain is near its posterior few entries fall outside, so an entry
+costs about one normal draw rather than an inverse-CDF evaluation.
+
+Under gbt every column shares each row's conditional precision, so the
+whole systematic scan is one K x K lower-triangular solve with N
+right-hand sides (``_sweep_triangular``): the proposals of all K rows are
+the Gauss-Seidel forward substitution on one pre-drawn K x N block of
+normals. It stays exact because an out-of-bounds entry is redrawn only
+once the rows above it in its column are final, from its conditional mean
+given them, and the change is then carried into the rows below; the
+repairs run in rounds, one ``sample_gtn_array`` call each, over every
+column at once. Under gbtn the prior precisions differ along a row, and
+the rows are drawn one at a time.
 
 All conditionals are evaluated in the log domain. Each conditional has one
 sampler, the vectorised one the loop runs. The entrywise functions
@@ -43,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri as _dtrtri
 
 from .distributions import (
     GammaParams,
@@ -286,24 +298,32 @@ def _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s):
 
 
 def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
-    """One systematic Gibbs scan over every entry of Y_J, in place.
+    """One systematic Gibbs scan over every entry of Y_J, in place, in slot order.
 
-    Rows are updated one at a time in slot order; within a row the entries
-    are conditionally independent, so each row is drawn at once, from the
-    parameters ``_weight_row_params`` gives in O(KN); the sweep costs
-    O(K^2 N).
-
-    A row is drawn normal-first: one plain normal N(mu, 1/tau) per entry,
-    then only the entries that fall outside [a, b] are redrawn from their
+    Each entry is drawn normal-first: a plain normal N(mu, 1/tau) from its
+    conditional given the rows before it (already updated) and after it
+    (not yet), and only if that lands outside [a, b] a redraw from the
     truncated normal by ``sample_gtn_array``. This is exact. With phi the
-    parent density and P(in), P(out) its mass inside and outside [a, b],
-    an entry lands at x in [a, b] with density phi(x) from the first draw
-    plus P(out) phi(x) / P(in) from the redraw, which is phi(x) / P(in),
-    the truncated density. Where the mean sits deep beyond a bound, most
-    entries are redrawn, and the redraw takes ``sample_gtn_array``'s
-    rejection sampler there. A row with no entry out of bounds consumes
-    exactly N standard normals.
+    parent density and P(in), P(out) its mass inside and outside [a, b], an
+    entry lands at x in [a, b] with density phi(x) from the first draw plus
+    P(out) phi(x) / P(in) from the redraw, which is phi(x) / P(in), the
+    truncated density. Within a row the entries are conditionally
+    independent.
+
+    When each row's precision is shared by its columns (gbt, or a K x N
+    prior constant along rows) the whole scan is ``_sweep_triangular``:
+    one K x N block of normals, one triangular solve and vectorised repair
+    rounds, O(K^2 N). Its proposals are the Gauss-Seidel solve, which is
+    what the row-by-row scan proposes on the same normals, and each repair
+    redraws from the entry's conditional mean given the final rows above
+    it, so it leaves Y_J where the row-by-row scan would. Otherwise (gbtn's
+    per-entry precisions) the rows are drawn one at a time from
+    ``_weight_row_params``, O(KN) each.
     """
+    tau = np.asarray(gtn_tau)
+    if tau.ndim == 0 or np.all(tau == tau[:, :1]):
+        _sweep_triangular(y, gram, proj, sigma2, gtn_mu, tau if tau.ndim == 0 else tau[:, :1], a, b, rng)
+        return
     for s in range(y.shape[0]):
         mu_post, tau_post = _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s)
         row = rng.standard_normal(mu_post.shape)
@@ -311,9 +331,69 @@ def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
         row += mu_post
         out = (row < a) | (row > b)
         if out.any():
-            tau_out = np.broadcast_to(tau_post, row.shape)[out]
-            row[out] = sample_gtn_array(mu_post[out], tau_out, a, b, rng)
+            row[out] = sample_gtn_array(mu_post[out], tau_post[out], a, b, rng)
         y[s] = row
+
+
+def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng) -> None:
+    """The scan of ``_sweep_weights`` when row s has one precision for all its columns.
+
+    ``prior_tau`` is 0-d or K x 1. With D = diag(G) + sigma^2 tau_0 and sd_s
+    = sigma / sqrt(D_s), row s's normal-first proposal, given the final
+    rows before it, solves
+
+        sum_{t<s} G_st y_t + D_s y_s = P_s - sum_{t>s} G_st y_t^old
+                                       + sigma^2 tau_0 mu_0 + D_s sd_s z_s,
+
+    so all K proposals at once solve one K x K lower-triangular system M Y =
+    R, with M = tril(G, -1) + diag(D) and N right-hand sides: the
+    Gauss-Seidel solve with a noise term (Goodman & Sokal, Phys. Rev. D
+    1989; Fox & Parker, Bernoulli 2017). It is solved as M^-1 R, through
+    the triangular inverse the repairs read too, and the normals z of the
+    whole sweep are drawn as one K x N block.
+
+    A proposal outside [a, b] is exact only while the rows before it are
+    final, so the repairs run in rounds. Each round takes every column's
+    first entry out of bounds; the rows above it are final, so its
+    conditional mean is the proposal minus its own noise term sd_s z_s,
+    and all of them are redrawn in one ``sample_gtn_array`` call. The
+    change d of entry (s, l) moves the solution of the rows below it by
+    d M_ss M^-1[s+1:, s], which is the proposal those rows would have made
+    given the new y_s on the same normals; only those columns are checked
+    again. Every entry therefore ends as the sequential scan would leave it
+    on the same normals.
+    """
+    k = y.shape[0]
+    diag = gram.diagonal() + np.ravel(sigma2 * prior_tau)
+    tau_post = diag / sigma2
+    sd = 1.0 / np.sqrt(tau_post)
+    z = rng.standard_normal(y.shape)
+    rhs = np.triu(gram, 1) @ y
+    np.subtract(proj, rhs, out=rhs)
+    rhs += (sigma2 * prior_tau) * gtn_mu
+    rhs += (diag * sd)[:, None] * z
+    lower = np.tril(gram, -1)
+    lower.flat[:: k + 1] = diag
+    # M^T is Fortran-ordered and upper triangular, so LAPACK inverts it in place
+    inv = _dtrtri(lower.T, lower=0, overwrite_c=1)[0].T
+    np.matmul(inv, rhs, out=y)
+    out = (y < a) | (y > b)
+    cols = np.flatnonzero(out.any(axis=0))
+    out = out[:, cols]
+    below = np.arange(k)[:, None]
+    while cols.size:
+        s = out.argmax(axis=0)
+        proposal = y[s, cols]
+        new = sample_gtn_array(proposal - sd[s] * z[s, cols], tau_post[s], a, b, rng)
+        block = y[:, cols]
+        # inv is lower triangular, so the step is zero above row s
+        block += inv[:, s] * (diag[s] * (new - proposal))
+        block[s, np.arange(cols.size)] = new
+        y[:, cols] = block
+        # rows down to s are final; looking only below s also bounds the rounds by K
+        out = ((block < a) | (block > b)) & (below > s)
+        again = out.any(axis=0)
+        cols, out = cols[again], out[:, again]
 
 
 def _update_weight_priors(state: IdState, hp: Hyperparameters, rng: np.random.Generator) -> None:

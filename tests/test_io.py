@@ -91,12 +91,12 @@ _CSV_CASES = [
     ("empty-fields", b",1,,,2,\n3,,4,5,6,\n,,,,,\n", False, True),
     ("one-column-blank-line", b"1\n\n3\n", False, False),
     ("one-column-empty-field", b'1\n""\n3\n', False, False),
-    ("one-column-spaces-field", b"1\n  \n3\n", False, False),
+    ("one-column-spaces-field", b"1\n  \n3\n", False, True),
     ("one-column", b"1\n-2.5\n3e2\n", False, True),
     ("one-row", b"1,2,3", False, True),
     ("quoted-numbers", b'"1.5",2\n3,"-4e1"\n', False, False),
     ("quoted-empty-field", b'1,""\n3,4\n', False, False),
-    ("spaces-only-fields", b"1,  ,3\n4,5, \n", False, False),
+    ("spaces-only-fields", b"1,  ,3\n4,5, \n", False, True),
     ("surrounding-spaces", b" 1.5 , -2 \n3,  4\n", False, True),
     ("tab-around-field", b"1,\t2\n3,4\n", False, False),
     ("space-inside-field", b"1,2 3\n4,5\n", False, False),
@@ -152,6 +152,17 @@ class TestCsvReaderEquivalence:
         got = self._outcome(p, has_header)
         monkeypatch.setattr(io, "_load_plain_csv", lambda path, has_header: None)
         assert got == self._outcome(p, has_header)
+
+    def test_spaces_only_fields_are_read_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"1,  ,3\r\n ,5, \r\n7, 8 ,\r\n")
+        read = []
+        rows = io._csv_rows
+        monkeypatch.setattr(io, "_csv_rows", lambda *args, **kw: read.append(args) or rows(*args, **kw))
+        data = load_matrix(p)
+        assert read == []
+        npt.assert_array_equal(data.values, [[1.0, 0.0, 3.0], [0.0, 5.0, 0.0], [7.0, 8.0, 0.0]])
+        npt.assert_array_equal(data.mask, [[True, False, True], [False, True, False], [True, True, False]])
 
     def test_workload_shaped_file_takes_the_c_parser(self, tmp_path):
         rng = np.random.default_rng(331)

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.stats
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from bayesid import model, sampler
 from bayesid.distributions import _log_interval_mass
@@ -443,94 +443,141 @@ class TestGramStatistics:
         assert sum(v.nbytes for v in arrays.values()) <= 8 * (weights * k * n + k + 2)
 
 
-class TestGramSweep:
-    """The Gram-form sweep draws every active row from the conditional that
-    the entrywise reference kernel ``weight_entry_params`` states."""
+def _redraw_stub(mu, tau, a, b, rng):
+    """A deterministic stand-in for ``sample_gtn_array``: a point of (a, b)
+    that moves with both the mean and the precision, and no random number."""
+    return a + (b - a) * expit(np.asarray(mu) * np.sqrt(tau))
 
-    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
-    @pytest.mark.parametrize("shape, k, masked", [
-        ((12, 8), 3, False),
-        ((12, 8), 3, True),
-        ((6, 5), 5, False),
-        ((3, 7), 5, True),
-    ], ids=["tall", "masked", "k-equals-n", "k-exceeds-m"])
-    def test_row_params_match_entry_kernel(self, monkeypatch, variant, shape, k, masked):
-        rng = np.random.default_rng(241)
+
+def _stub_redraws(monkeypatch):
+    """Replace the sweep's truncated-normal redraw by ``_redraw_stub``; the
+    returned list gets one entry (the batch size) per redraw call."""
+    calls = []
+
+    def redraw(mu, tau, a, b, rng):
+        calls.append(np.size(mu))
+        return _redraw_stub(mu, tau, a, b, rng)
+
+    monkeypatch.setattr(sampler, "sample_gtn_array", redraw)
+    return calls
+
+
+def _sequential_scan(state, data, z, a, b):
+    """The Gibbs scan entry by entry, on the normals z: row s proposes
+    mu + z / sqrt(tau) from ``weight_entry_params`` given the rows already
+    updated, and an entry outside [a, b] takes ``_redraw_stub``'s value."""
+    k, n = state.y.shape
+    for s in range(k):
+        params = np.array([weight_entry_params(state, data, s, l) for l in range(n)])
+        mu, tau = params[:, 0], params[:, 1]
+        row = mu + z[s] / np.sqrt(tau)
+        out = (row < a) | (row > b)
+        row[out] = _redraw_stub(mu[out], tau[out], a, b, None)
+        state.y[s] = row
+    return state.y
+
+
+_SWEEP_SHAPES = pytest.mark.parametrize("shape, k, masked", [
+    ((12, 8), 3, False),
+    ((12, 8), 3, True),
+    ((6, 5), 5, False),
+    ((3, 7), 5, True),
+], ids=["tall", "masked", "k-equals-n", "k-exceeds-m"])
+
+
+class TestGramSweep:
+    """The Gram-form sweep leaves Y_J where the sequential Gibbs scan from
+    the entrywise reference kernel ``weight_entry_params`` leaves it, on the
+    same normals and with the truncated-normal redraw made deterministic.
+    gbt takes the triangular solve with its repair rounds, gbtn the row
+    loop."""
+
+    @staticmethod
+    def _compare(monkeypatch, shape, k, masked, variant, sigma2, seed):
+        rng = np.random.default_rng(seed)
         mask = rng.uniform(size=shape) > 0.3 if masked else np.ones(shape, dtype=bool)
         data = ObservedMatrix(values=np.where(mask, rng.normal(size=shape), 0.0), mask=mask)
         hp = Hyperparameters(k=k, variant=variant, iterations=10, burn_in=0, thinning=1)
         state = init_state(data, hp, rng)
-        state.sigma2 = 0.3
-        n = shape[1]
+        state.sigma2 = sigma2
         gram, proj = gram_statistics(data.values, state.j)
-        row_params = sampler._weight_row_params
-        calls = []
+        calls = _stub_redraws(monkeypatch)
+        y = state.y.copy()
+        _sweep_weights(y, gram, proj, sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b,
+                       np.random.default_rng(seed + 1))
+        # with the redraw consuming no random number, either path draws
+        # exactly one K x N block of normals
+        z = np.random.default_rng(seed + 1).standard_normal(y.shape)
+        want = _sequential_scan(state, data, z, hp.a, hp.b)
+        # the weights lie in [-1, 1]; the atol only admits rounding at entries
+        # that are exactly 0 in one of the two
+        npt.assert_allclose(y, want, rtol=1e-10, atol=1e-14)
+        return calls
 
-        def spy(*args):
-            # rows come in slot order; the oracle reads the state as the
-            # sweep has left it so far
-            s = args[-1]
-            assert s == len(calls)
-            want = np.array([weight_entry_params(state, data, s, l) for l in range(n)])
-            mu, tau = row_params(*args)
-            calls.append((np.array(mu), np.array(tau), want))
-            return mu, tau
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    @_SWEEP_SHAPES
+    def test_row_params_match_entry_kernel(self, monkeypatch, variant, shape, k, masked):
+        self._compare(monkeypatch, shape, k, masked, variant, 0.3, 241)
 
-        monkeypatch.setattr(sampler, "_weight_row_params", spy)
-        _sweep_weights(
-            state.y, gram, proj, state.sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng,
-        )
-        assert len(calls) == k
-        for mu, tau, want in calls:
-            npt.assert_allclose(mu, want[:, 0], rtol=1e-10)
-            npt.assert_allclose(tau, want[:, 1], rtol=1e-10)
+    @_SWEEP_SHAPES
+    def test_repair_rounds_match_the_sequential_scan(self, monkeypatch, shape, k, masked):
+        # at sigma^2 = 10 a proposal's sd is near 1, so several entries of a
+        # column fall outside [-1, 1]; a second redraw call means some column
+        # was repaired in two rounds
+        calls = self._compare(monkeypatch, shape, k, masked, "gbt", 10.0, 241)
+        assert len(calls) >= 2
 
 
 class TestNormalFirstRows:
-    """The sweep draws each row as a plain normal and redraws only the
+    """The sweep draws each entry as a plain normal and redraws only the
     entries outside [a, b] from their truncated normal; the kept law must be
-    the truncated normal in every regime. The row parameters are pinned by
-    replacing ``_weight_row_params``, so the draw alone is under test."""
+    the truncated normal in every regime. Each entry's conditional is set
+    through the sweep's real inputs: sigma^2 = 1, prior mean 0 and a
+    diagonal G, so the rows do not couple, and P = mu * tau."""
 
     @staticmethod
-    def _sweep(monkeypatch, mu, tau, a, b, rng):
-        """Run one sweep whose row s has posterior (mu[s], tau or tau[s])."""
+    def _sweep(mu, tau, a, b, rng):
+        """Run one sweep whose entry (s, l) has mean mu[s, l] and precision tau (or tau[s, l])."""
         mu = np.asarray(mu, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        monkeypatch.setattr(
-            sampler, "_weight_row_params",
-            lambda *args: (mu[args[-1]].copy(), tau[args[-1]] if tau.ndim else tau),
-        )
+        if tau.ndim:
+            # gbtn's per-entry prior precision: the row loop
+            gram_diag = 0.5 * tau.min(axis=1)
+            prior_mu, prior_tau = np.zeros(mu.shape), tau - gram_diag[:, None]
+        else:
+            # gbt's 0-d prior: the triangular solve
+            gram_diag = np.full(mu.shape[0], tau - 1.0)
+            prior_mu, prior_tau = np.float64(0.0), np.float64(1.0)
         y = np.zeros(mu.shape)
-        _sweep_weights(y, None, None, None, None, None, a, b, rng)
+        _sweep_weights(y, np.diag(gram_diag), mu * tau, 1.0, prior_mu, prior_tau, a, b, rng)
         return y
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 1.0 + 8.0 / 3.0],
                              ids=["central", "mean-on-b", "8-sd-beyond-b"])
-    def test_rows_follow_the_truncated_normal(self, monkeypatch, mu):
+    def test_rows_follow_the_truncated_normal(self, mu):
         a, b, tau = -1.0, 1.0, 9.0
-        y = self._sweep(monkeypatch, np.full((20, 1000), mu), tau, a, b, np.random.default_rng(263))
+        y = self._sweep(np.full((20, 1000), mu), tau, a, b, np.random.default_rng(263))
         assert np.all((y >= a) & (y <= b))
         sd = 1.0 / np.sqrt(tau)
         dist = scipy.stats.truncnorm((a - mu) / sd, (b - mu) / sd, loc=mu, scale=sd)
         assert scipy.stats.kstest(y.ravel(), dist.cdf).pvalue > 0.01
 
     @pytest.mark.parametrize("per_entry_tau", [False, True], ids=["scalar-tau", "k-by-n-tau"])
-    def test_every_draw_within_bounds(self, monkeypatch, per_entry_tau):
+    def test_every_draw_within_bounds(self, per_entry_tau):
         rng = np.random.default_rng(269)
         a, b = -0.5, 2.0
         mu = rng.choice([-40.0, a, 0.7, b, 40.0], size=(30, 400)) + rng.normal(0.0, 0.1, size=(30, 400))
         tau = np.exp(rng.uniform(-4.0, 8.0, size=mu.shape)) if per_entry_tau else np.float64(25.0)
-        y = self._sweep(monkeypatch, mu, tau, a, b, rng)
+        y = self._sweep(mu, tau, a, b, rng)
         assert np.all((y >= a) & (y <= b))
 
-    def test_row_inside_bounds_consumes_exactly_n_normals(self, monkeypatch):
-        n, tau = 500, 1e6
+    def test_sweep_inside_bounds_consumes_one_normal_block(self):
+        k, n, tau = 3, 500, 1e6
         rng, ref = np.random.default_rng(271), np.random.default_rng(271)
-        mu = np.linspace(-0.5, 0.5, n)[None]
-        y = self._sweep(monkeypatch, mu, tau, -1.0, 1.0, rng)
-        z = ref.standard_normal(n)
-        npt.assert_array_equal(y[0], z / np.sqrt(tau) + mu[0])
+        mu = np.tile(np.linspace(-0.5, 0.5, n), (k, 1))
+        y = self._sweep(mu, tau, -1.0, 1.0, rng)
+        z = ref.standard_normal((k, n))
+        npt.assert_allclose(y, z / np.sqrt(tau) + mu, rtol=1e-12, atol=1e-15)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
