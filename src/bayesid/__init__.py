@@ -15,7 +15,6 @@ from .diagnostics import (
     mse_observed,
     posterior_mean_mse,
 )
-from .distributions import GammaParams, GtnParams, gtn_log_pdf, sample_gtn, sample_gtn_array
 from .errors import (
     BayesidError,
     ConfigurationError,
@@ -26,8 +25,7 @@ from .errors import (
     ParseError,
     RankDeficiencyError,
 )
-from .io import PreprocessConfig, load_matrix, preprocess, save_matrix, save_result
-from .linalg import cpqr, numerical_rank, solve_least_squares
+from .io import PreprocessConfig, load_matrix, preprocess, save_matrix
 from .model import Hyperparameters, IdState, ObservedMatrix, init_state
 from .postprocess import CanonicalId, extract_canonical
 from .rid import RidResult, max_magnitude_excess, randomized_id
@@ -40,9 +38,7 @@ __all__ = [
     "CanonicalId",
     "ConfigurationError",
     "DegenerateChainError",
-    "GammaParams",
     "GibbsTrace",
-    "GtnParams",
     "Hyperparameters",
     "IdState",
     "InputError",
@@ -56,23 +52,16 @@ __all__ = [
     "RunReport",
     "autocorrelation",
     "build_run_report",
-    "cpqr",
     "extract_canonical",
-    "gtn_log_pdf",
     "init_state",
     "iterations_to_plateau",
     "load_matrix",
     "max_magnitude_excess",
     "mse",
     "mse_observed",
-    "numerical_rank",
     "posterior_mean_mse",
     "preprocess",
     "randomized_id",
     "run_gibbs",
-    "sample_gtn",
-    "sample_gtn_array",
     "save_matrix",
-    "save_result",
-    "solve_least_squares",
 ]

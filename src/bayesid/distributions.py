@@ -1,11 +1,13 @@
-"""Scalar distributions used by the Gibbs samplers.
+"""Distribution kernels used by the Gibbs samplers.
 
 The workhorse is the general truncated normal (GTN): a normal with mean
 ``mu`` and precision ``tau`` restricted to the interval [a, b]. With
 a = 0, b = inf it reduces to the usual rectified truncated normal.
-Densities are evaluated in the log domain; sampling uses the inverse CDF
-in the central regime and rejection sampling when the whole interval sits
-deep in one tail, where the inverse CDF loses all resolution.
+``sample_gtn_array`` draws it by the inverse CDF in the central regime
+and by rejection sampling when the whole interval sits deep in one tail,
+where the inverse CDF loses all resolution. No density is evaluated here;
+``_log_interval_mass`` gives the log of a GTN's normalising mass, stable
+in both tails, for exact computations outside the sampler.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import InvalidParameterError, NumericalError
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 # Standardized bound beyond which the inverse CDF becomes unreliable and the
 # rejection samplers take over.
 _TAIL_LIMIT = 5.0
@@ -28,28 +28,6 @@ _MAX_REJECTION_ROUNDS = 1000
 # The open unit interval that the inverse CDF is evaluated on.
 _U_MIN = np.nextafter(0.0, 1.0)
 _U_MAX = np.nextafter(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class GtnParams:
-    """Parameters of a general truncated normal.
-
-    ``mu`` and ``tau`` are the mean and precision of the parent normal,
-    not the moments of the truncated variable. The bounds may be infinite.
-    """
-
-    mu: float
-    tau: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise InvalidParameterError(f"mu must be finite, got {self.mu}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidParameterError(f"tau must be finite and positive, got {self.tau}")
-        if not self.b > self.a:
-            raise InvalidParameterError(f"need b > a, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -91,30 +69,6 @@ def _log_interval_mass(alpha, beta):
             return hi + np.log1p(-np.exp(lo - hi))
     # interval straddles zero, the plain difference is well conditioned
     return float(np.log(ndtr(beta) - ndtr(alpha)))
-
-
-def gtn_log_pdf(x, p: GtnParams):
-    """Log density of the GTN at ``x`` (scalar or array).
-
-    Points outside [a, b] get -inf. Raises InvalidParameterError when the
-    interval mass underflows to zero, which happens only when both bounds
-    are so deep in one tail that they coincide numerically; sampling in
-    that regime must go through the rejection path of sample_gtn instead.
-    """
-    sd = 1.0 / np.sqrt(p.tau)
-    alpha = (p.a - p.mu) / sd
-    beta = (p.b - p.mu) / sd
-    log_z = _log_interval_mass(alpha, beta)
-    if not np.isfinite(log_z):
-        raise InvalidParameterError(
-            f"truncation interval [{p.a}, {p.b}] has zero mass under "
-            f"N(mu={p.mu}, tau={p.tau})"
-        )
-    x = np.asarray(x, dtype=float)
-    inside = (x >= p.a) & (x <= p.b)
-    val = 0.5 * np.log(p.tau) - 0.5 * _LOG_2PI - 0.5 * p.tau * (x - p.mu) ** 2 - log_z
-    out = np.where(inside, val, -np.inf)
-    return float(out) if out.ndim == 0 else out
 
 
 def _sample_right_tail(alpha, beta, rng):
@@ -211,19 +165,6 @@ def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator, size=None):
     if lo.any():
         z[lo] = -_sample_right_tail(-beta[lo], -alpha[lo], rng)
     return _scale_into_bounds(z, mu, sd, a, b)
-
-
-def sample_gtn(p: GtnParams, rng: np.random.Generator, size=None):
-    """Draw from the GTN. Returns a float for size=None, else an array."""
-    if size is None:
-        return float(sample_gtn_array(p.mu, p.tau, p.a, p.b, rng).reshape(()))
-    return sample_gtn_array(p.mu, p.tau, p.a, p.b, rng, size=size)
-
-
-def sample_gamma(p: GammaParams, rng: np.random.Generator, size=None):
-    """Draw from Gamma(shape, rate)."""
-    draw = rng.gamma(p.shape, 1.0 / p.rate, size=size)
-    return float(draw) if size is None else draw
 
 
 def sample_inverse_gamma(p: GammaParams, rng: np.random.Generator, size=None):

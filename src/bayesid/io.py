@@ -17,11 +17,11 @@ None as an empty field. JSON goes through ``write_json`` with sorted keys.
 A CSV may use RFC 4180 quoting, whitespace around a field, LF, CRLF or
 lone CR line ends, and any UTF-8 text in a skipped header; a field that
 holds only whitespace is an empty field. A plain numeric file, one that
-holds only digits, ``+-.eE``, commas, spaces and line ends (and a header
-line without a quote), is parsed by numpy's C parser. Any other file, and
-any plain one the C parser refuses, is read by the csv module's reader
-(``_csv_rows``), which alone raises the parse errors; both readers give
-the same values, bit for bit, and the same mask.
+holds only digits, ``+-.eE``, commas, spaces, tabs and line ends (and a
+header line without a quote), is parsed by numpy's C parser. Any other
+file, and any plain one the C parser refuses, is read by the csv module's
+reader (``_csv_rows``), which alone raises the parse errors; both readers
+give the same values, bit for bit, and the same mask.
 """
 
 from __future__ import annotations
@@ -181,12 +181,13 @@ class _NotPlain(Exception):
 def _plain_lines(fh, has_header: bool):
     """Yield the data lines of a plain numeric CSV, with every empty field spelled ``nan``.
 
-    A field of spaces only counts as empty.
+    A tab is spelled as a space, and a field of spaces only counts as
+    empty.
 
     Raises _NotPlain at a header line holding a quote or a NUL (the csv
     module reads a quoted header across lines and refuses a NUL), at a
-    blank line, at a character other than digits, ``+-.eE``, commas and
-    spaces, and at the end of a file with no data line.
+    blank line, at a character other than digits, ``+-.eE``, commas,
+    spaces and tabs, and at the end of a file with no data line.
     """
     if has_header:
         header = fh.readline()
@@ -194,7 +195,7 @@ def _plain_lines(fh, has_header: bool):
             raise _NotPlain
     seen = False
     for line in fh:
-        body = line.rstrip("\r\n")
+        body = line.rstrip("\r\n").replace("\t", " ")
         if not body or body.translate(_DELETE_PLAIN):
             raise _NotPlain
         if " " in body:

@@ -1,21 +1,18 @@
-"""Distribution kernels checked against scipy.stats reference implementations
-and direct numerical integration.
+"""Distribution kernels checked against scipy.stats and scipy.special
+reference implementations.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from bayesid.distributions import (
     GammaParams,
-    GtnParams,
-    gtn_log_pdf,
-    sample_gamma,
-    sample_gtn,
+    _log_interval_mass,
     sample_gtn_array,
     sample_inverse_gamma,
 )
@@ -35,18 +32,6 @@ def _ks_stat(draws, cdf):
 
 
 class TestGtnParamsValidation:
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(InvalidParameterError):
-            GtnParams(mu=0.0, tau=0.0, a=-1.0, b=1.0)
-
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            GtnParams(mu=0.0, tau=1.0, a=1.0, b=-1.0)
-
-    def test_rejects_nonfinite_mu(self):
-        with pytest.raises(InvalidParameterError):
-            GtnParams(mu=np.inf, tau=1.0, a=-1.0, b=1.0)
-
     def test_gamma_params_validation(self):
         with pytest.raises(InvalidParameterError):
             GammaParams(shape=0.0, rate=1.0)
@@ -54,71 +39,45 @@ class TestGtnParamsValidation:
             GammaParams(shape=1.0, rate=-2.0)
 
 
-class TestGtnLogPdf:
-    def test_outside_support_is_minus_inf(self):
-        p = GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0)
-        assert gtn_log_pdf(2.0, p) == -np.inf
-        assert gtn_log_pdf(-1.0001, p) == -np.inf
+def _reference_log_mass(alpha, beta):
+    """log(Phi(beta) - Phi(alpha)) as a signed log-sum of normal survival
+    functions. An interval left of zero is mirrored first, so that neither
+    term is close to 1 and their difference keeps its digits."""
+    if beta <= 0.0:
+        alpha, beta = -beta, -alpha  # the standard normal is symmetric
+    return logsumexp([scipy.stats.norm.logsf(alpha), scipy.stats.norm.logsf(beta)], b=[1.0, -1.0])
 
-    def test_center_value_against_direct_formula(self):
-        p = GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0)
-        phi0 = 1.0 / np.sqrt(2.0 * np.pi)
-        z = scipy.stats.norm.cdf(1.0) - scipy.stats.norm.cdf(-1.0)
-        npt.assert_allclose(gtn_log_pdf(0.0, p), np.log(phi0 / z), rtol=1e-12)
 
-    def test_reduces_to_one_sided_truncated_normal(self):
-        # a=0, b=inf is the rectified special case
-        p = GtnParams(mu=0.0, tau=1.0, a=0.0, b=np.inf)
-        ref = scipy.stats.truncnorm.logpdf(0.5, 0.0, np.inf, loc=0.0, scale=1.0)
-        npt.assert_allclose(gtn_log_pdf(0.5, p), ref, rtol=1e-10)
+class TestLogIntervalMass:
+    @pytest.mark.parametrize("alpha, beta", [
+        (-1.0, 1.0),
+        (6.0, 6.5),
+        (-6.5, -6.0),
+        (30.0, 31.0),
+        (0.0, np.inf),
+    ], ids=["central", "right-tail", "left-tail", "far-right-tail", "one-sided"])
+    def test_matches_reference(self, alpha, beta):
+        npt.assert_allclose(_log_interval_mass(alpha, beta), _reference_log_mass(alpha, beta), rtol=1e-10)
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0),
-            GtnParams(mu=3.0, tau=0.25, a=-1.0, b=1.0),
-            GtnParams(mu=-0.5, tau=40.0, a=-1.0, b=1.0),
-            GtnParams(mu=0.0, tau=1.0, a=6.0, b=6.5),
-            GtnParams(mu=2.0, tau=9.0, a=0.0, b=np.inf),
-        ],
-    )
-    def test_integrates_to_one(self, p):
-        hi = p.b if np.isfinite(p.b) else p.mu + 20.0 / np.sqrt(p.tau)
-        val, _ = scipy.integrate.quad(lambda x: np.exp(gtn_log_pdf(x, p)), p.a, hi)
-        npt.assert_allclose(val, 1.0, atol=1e-8)
-
-    def test_zero_mass_interval_raises(self):
-        # bounds so extreme that even the log-domain normalizer degenerates
-        p = GtnParams(mu=0.0, tau=1.0, a=1e155, b=2e155)
-        with pytest.raises(InvalidParameterError):
-            gtn_log_pdf(1.5e155, p)
-
-    def test_array_input(self):
-        p = GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0)
-        out = gtn_log_pdf(np.array([-2.0, 0.0, 0.5, 3.0]), p)
-        assert out.shape == (4,)
-        assert out[0] == -np.inf and out[3] == -np.inf
-        assert np.isfinite(out[1]) and np.isfinite(out[2])
+    def test_numerically_coincident_bounds_have_no_mass(self):
+        assert _log_interval_mass(1e155, 2e155) == -np.inf
 
 
 class TestSampleGtn:
     def test_support_simple(self):
         rng = np.random.default_rng(7)
-        p = GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0)
-        draws = sample_gtn(p, rng, size=1000)
+        draws = sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=1000)
         assert np.all(draws >= -1.0) and np.all(draws <= 1.0)
 
     def test_far_parent_mean_matches_truncated_moment(self):
         rng = np.random.default_rng(11)
-        p = GtnParams(mu=10.0, tau=1.0, a=-1.0, b=1.0)
-        draws = sample_gtn(p, rng, size=10_000)
+        draws = sample_gtn_array(10.0, 1.0, -1.0, 1.0, rng, size=10_000)
         ref = scipy.stats.truncnorm.mean(-11.0, -9.0, loc=10.0, scale=1.0)
         assert abs(draws.mean() - ref) <= 0.01
 
     def test_rectified_case_ks(self):
         rng = np.random.default_rng(13)
-        p = GtnParams(mu=0.0, tau=4.0, a=0.0, b=np.inf)
-        draws = sample_gtn(p, rng, size=10_000)
+        draws = sample_gtn_array(0.0, 4.0, 0.0, np.inf, rng, size=10_000)
         dist = scipy.stats.truncnorm(0.0, np.inf, loc=0.0, scale=0.5)
         assert _ks_stat(draws, dist.cdf) < _KS_CRIT / np.sqrt(draws.size)
 
@@ -132,25 +91,21 @@ class TestSampleGtn:
     )
     def test_tail_regimes_ks(self, a, b):
         rng = np.random.default_rng(17)
-        p = GtnParams(mu=0.0, tau=1.0, a=a, b=b)
-        draws = sample_gtn(p, rng, size=20_000)
+        draws = sample_gtn_array(0.0, 1.0, a, b, rng, size=20_000)
         assert np.all(draws >= a) and np.all(draws <= b)
         dist = scipy.stats.truncnorm(a, b, loc=0.0, scale=1.0)
         assert _ks_stat(draws, dist.cdf) < _KS_CRIT / np.sqrt(draws.size)
 
     def test_unbounded_interval_reduces_to_normal(self):
         rng = np.random.default_rng(19)
-        p = GtnParams(mu=2.0, tau=4.0, a=-np.inf, b=np.inf)
-        draws = sample_gtn(p, rng, size=20_000)
+        draws = sample_gtn_array(2.0, 4.0, -np.inf, np.inf, rng, size=20_000)
         dist = scipy.stats.norm(loc=2.0, scale=0.5)
         assert _ks_stat(draws, dist.cdf) < _KS_CRIT / np.sqrt(draws.size)
 
     def test_size_handling(self):
         rng = np.random.default_rng(23)
-        p = GtnParams(mu=0.0, tau=1.0, a=-1.0, b=1.0)
-        assert isinstance(sample_gtn(p, rng), float)
-        assert sample_gtn(p, rng, size=7).shape == (7,)
-        assert sample_gtn(p, rng, size=(2, 3)).shape == (2, 3)
+        assert sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=7).shape == (7,)
+        assert sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=(2, 3)).shape == (2, 3)
 
     def test_array_broadcasting(self):
         rng = np.random.default_rng(29)
@@ -161,9 +116,8 @@ class TestSampleGtn:
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_deterministic_given_seed(self):
-        p = GtnParams(mu=0.3, tau=2.0, a=-1.0, b=1.0)
-        a = sample_gtn(p, np.random.default_rng(31), size=100)
-        b = sample_gtn(p, np.random.default_rng(31), size=100)
+        a = sample_gtn_array(0.3, 2.0, -1.0, 1.0, np.random.default_rng(31), size=100)
+        b = sample_gtn_array(0.3, 2.0, -1.0, 1.0, np.random.default_rng(31), size=100)
         npt.assert_array_equal(a, b)
 
     @given(
@@ -175,9 +129,8 @@ class TestSampleGtn:
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_draws_never_leave_interval(self, mu, tau, lo, width, seed):
-        p = GtnParams(mu=mu, tau=tau, a=lo, b=lo + width)
-        draws = sample_gtn(p, np.random.default_rng(seed), size=8)
-        assert np.all(draws >= p.a) and np.all(draws <= p.b)
+        draws = sample_gtn_array(mu, tau, lo, lo + width, np.random.default_rng(seed), size=8)
+        assert np.all(draws >= lo) and np.all(draws <= lo + width)
 
 
 class TestSizeContract:
@@ -209,14 +162,6 @@ class TestSizeContract:
         npt.assert_array_equal(block.ravel(), one_by_one)
         assert rng_block.bit_generator.state == rng_one.bit_generator.state
 
-    def test_sample_gtn_matches_full_arrays(self):
-        p = GtnParams(mu=0.3, tau=2.0, a=-1.0, b=1.0)
-        rng_p, rng_full = np.random.default_rng(73), np.random.default_rng(73)
-        got = sample_gtn(p, rng_p, size=(3, 2))
-        want = sample_gtn_array(*(np.full((3, 2), v) for v in (p.mu, p.tau, p.a, p.b)), rng_full)
-        npt.assert_array_equal(got, want)
-        assert rng_p.bit_generator.state == rng_full.bit_generator.state
-
     def test_size_is_the_output_shape(self):
         rng = np.random.default_rng(79)
         assert sample_gtn_array(0.0, 1.0, -1.0, 1.0, rng, size=()).shape == ()
@@ -238,24 +183,27 @@ class TestSizeContract:
 
 
 class TestGamma:
+    """numpy's Gamma sampler, which sample_inverse_gamma draws through, takes
+    the scale, the reciprocal of GammaParams' rate."""
+
     def test_exponential_special_case_mean(self):
         rng = np.random.default_rng(37)
-        draws = sample_gamma(GammaParams(1.0, 1.0), rng, size=100_000)
+        draws = rng.gamma(1.0, scale=1.0, size=100_000)
         assert abs(draws.mean() - 1.0) <= 0.02
 
     def test_mean_shape_over_rate(self):
         rng = np.random.default_rng(41)
-        draws = sample_gamma(GammaParams(2.1, 1.0), rng, size=100_000)
+        draws = rng.gamma(2.1, scale=1.0, size=100_000)
         assert abs(draws.mean() - 2.1) <= 0.03
 
     def test_positive_support(self):
         rng = np.random.default_rng(43)
-        draws = sample_gamma(GammaParams(0.5, 2.0), rng, size=10_000)
+        draws = rng.gamma(0.5, scale=1.0 / 2.0, size=10_000)
         assert np.all(draws > 0)
 
     def test_ks_against_reference(self):
         rng = np.random.default_rng(47)
-        draws = sample_gamma(GammaParams(2.5, 3.0), rng, size=10_000)
+        draws = rng.gamma(2.5, scale=1.0 / 3.0, size=10_000)
         dist = scipy.stats.gamma(a=2.5, scale=1.0 / 3.0)
         assert _ks_stat(draws, dist.cdf) < _KS_CRIT / np.sqrt(draws.size)
 
@@ -269,7 +217,7 @@ class TestInverseGamma:
     def test_reciprocal_of_gamma_identity(self):
         p = GammaParams(2.0, 3.0)
         inv = sample_inverse_gamma(p, np.random.default_rng(59), size=1000)
-        fwd = sample_gamma(p, np.random.default_rng(59), size=1000)
+        fwd = np.random.default_rng(59).gamma(p.shape, scale=1.0 / p.rate, size=1000)
         npt.assert_array_equal(inv, 1.0 / fwd)
 
     def test_ks_against_reference(self):

@@ -98,7 +98,9 @@ _CSV_CASES = [
     ("quoted-empty-field", b'1,""\n3,4\n', False, False),
     ("spaces-only-fields", b"1,  ,3\n4,5, \n", False, True),
     ("surrounding-spaces", b" 1.5 , -2 \n3,  4\n", False, True),
-    ("tab-around-field", b"1,\t2\n3,4\n", False, False),
+    ("tab-around-field", b"1,\t2\n3,4\n", False, True),
+    ("tab-only-field", b"1,\t\n\t 3 \t,4\n", False, True),
+    ("tab-inside-field", b"1,2\t3\n4,5\n", False, False),
     ("space-inside-field", b"1,2 3\n4,5\n", False, False),
     ("nan", b"1,nan\n3,4\n", False, False),
     ("inf", b"inf,2\n3,4\n", False, False),
