@@ -36,7 +36,7 @@ from .io import (
     write_json,
     write_trace_csv,
 )
-from .model import Hyperparameters, ObservedMatrix
+from .model import Hyperparameters, ObservedMatrix, residual_sums
 from .postprocess import extract_canonical
 from .rid import max_magnitude_excess, randomized_id
 from .sampler import run_gibbs
@@ -175,11 +175,14 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
     if method == METHOD_RID:
         oversample = 1.2 if oversample is None else oversample
         result = randomized_id(data.values, k, rng, oversample=oversample)
+        # both losses from one row-blocked pass over the residual; a matrix with
+        # no observed entry is all zero, and randomized_id has refused it
+        rss, rss_observed = residual_sums(data.values, result.c, result.w, data.mask)
         meta = {
             "oversample": oversample,
             "j_set": [int(j) for j in result.j_set],
-            "mse": diagnostics.mse(data.values, result.c, result.w),
-            "mse_observed": diagnostics.mse_observed(data, result.c, result.w),
+            "mse": rss / data.values.size,
+            "mse_observed": rss_observed / int(data.mask.sum()),
             "max_abs_w": result.max_abs_w,
             "magnitude_excess": max_magnitude_excess(result.w),
         }
@@ -212,17 +215,22 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
 
 
 def _load_into(out_dir, args, prep, run) -> int:
-    """Create the output directory, read and preprocess the input, and return ``run(raw, data)``.
+    """Create the output directory, read and preprocess the input, and return
+    ``run(loaded_shape, data)``.
 
-    An unusable output path stops the run before the input is read. If the
-    input or ``run`` then fails, the directories created here are removed
-    again while they are empty, so a failed run leaves no stray directory
-    behind.
+    Only the loaded matrix's shape reaches ``run``, so the loaded matrix is
+    freed before the decomposition and the preprocessed one is the only
+    copy left. An unusable output path stops the run before the input is
+    read. If the input or ``run`` then fails, the directories created here
+    are removed again while they are empty, so a failed run leaves no stray
+    directory behind.
     """
     created = make_output_dir(out_dir)
     try:
         raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-        return run(raw, preprocess(raw, prep))
+        loaded_shape, data = raw.shape, preprocess(raw, prep)
+        del raw
+        return run(loaded_shape, data)
     except BaseException:
         remove_empty_dirs(created)
         raise
@@ -235,7 +243,7 @@ def cmd_decompose(args) -> int:
         raise ConfigurationError("--oversample applies only to the rid method")
     _check_run_flags(args, [args.k])
 
-    def run(raw, data) -> int:
+    def run(loaded_shape, data) -> int:
         c, w, result, trace = _decompose(
             data, args.method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
             args.oversample,
@@ -245,7 +253,7 @@ def cmd_decompose(args) -> int:
             "method": args.method,
             "k": args.k,
             "seed": args.seed,
-            **_prep_metadata(prep, raw.shape, data.shape),
+            **_prep_metadata(prep, loaded_shape, data.shape),
             **result,
         }
         save_result(out_dir, c, w, meta)

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateChainError, InputError
-from .model import ObservedMatrix
+from .model import ObservedMatrix, residual_sums
 from .sampler import GibbsTrace
 
 # Equilibrium Monte Carlo traces fluctuate at the percent scale, so the
@@ -26,22 +26,26 @@ MIXING_COEFF_THRESHOLD = 0.1
 
 
 def mse(a, x, y) -> float:
-    """Mean squared reconstruction error over all entries, ||a - x @ y||^2 / (m n)."""
+    """Mean squared reconstruction error over all entries, ||a - x @ y||^2 / (m n).
+
+    The residual is formed a block of rows at a time (``model.residual_sums``).
+    """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2 or x.shape[0] != a.shape[0] or y.shape != (x.shape[1], a.shape[1]):
         raise ValueError(f"inconsistent shapes a={a.shape}, x={x.shape}, y={y.shape}")
-    return float(np.mean((a - x @ y) ** 2))
+    return residual_sums(a, x, y)[0] / a.size
 
 
 def mse_observed(data: ObservedMatrix, x, y) -> float:
-    """Mean squared error restricted to observed entries."""
+    """Mean squared error restricted to observed entries, formed in row blocks like ``mse``."""
     count = int(data.mask.sum())
     if count == 0:
         raise InputError("matrix has no observed entries")
-    resid = (data.values - np.asarray(x) @ np.asarray(y))[data.mask]
-    return float(np.sum(resid**2)) / count
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return residual_sums(data.values, x, y, data.mask)[1] / count
 
 
 def autocorrelation(chain, max_lag: int) -> np.ndarray:

@@ -363,24 +363,40 @@ def preprocess(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:
 
     Rows are dropped before columns (one pass each). Standardization works
     per column over its observed entries only; a column whose observed
-    entries have zero variance stops the run with an error naming it.
-    Unobserved entries stay stored as zero throughout. Duplication appends
-    a full copy, so column n + N is the twin of column n.
+    entries have zero variance stops the run with an error naming it, and
+    a column with no observed entries (possible only with
+    ``min_observed_per_vector=0``) stays zero. Unobserved entries are
+    stored as zero in the result. Duplication appends a full copy, so
+    column n + N is the twin of column n.
+
+    The steps work in place on one column-major copy of the values and the
+    mask: the exponential and the cap run over the whole array, unobserved
+    entries included, which is safe because those are set back to zero at
+    the end, and rows and columns are indexed only when some are dropped.
+    An overflow of the exponential is reported by the finiteness check, as
+    InputError, and warns nothing.
     """
-    values = data.values.copy()
-    mask = data.mask.copy()
+    # column-major, the layout a column selection gives, so the result has one
+    # layout whether or not something is dropped; the matrix products
+    # downstream round differently on another layout
+    values = data.values.copy(order="F")
+    mask = data.mask.copy(order="F")
 
     if cfg.undo_log:
-        values[mask] = np.exp(values[mask])
+        with np.errstate(over="ignore"):
+            np.exp(values, out=values)
     if cfg.cap_value is not None:
-        values[mask] = np.minimum(values[mask], cfg.cap_value)
-    if not np.all(np.isfinite(values[mask])):
+        np.minimum(values, cfg.cap_value, out=values)
+    if not np.isfinite(values).all():
         raise InputError("preprocessing produced non-finite values (undo_log overflow without a cap?)")
 
     keep_rows = mask.sum(axis=1) >= cfg.min_observed_per_vector
-    values, mask = values[keep_rows], mask[keep_rows]
+    if not keep_rows.all():
+        values, mask = values[keep_rows], mask[keep_rows]
     col_origin = np.flatnonzero(mask.sum(axis=0) >= cfg.min_observed_per_vector)
-    values, mask = values[:, col_origin], mask[:, col_origin]
+    if col_origin.size < mask.shape[1] or not values.flags.f_contiguous:
+        # after a row drop this also restores the column-major layout
+        values, mask = values[:, col_origin], mask[:, col_origin]
     if values.shape[0] == 0 or values.shape[1] == 0:
         raise InputError(
             f"no rows or columns with at least {cfg.min_observed_per_vector} observed entries remain"
@@ -389,13 +405,15 @@ def preprocess(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:
     if cfg.standardize:
         for col in range(values.shape[1]):
             obs = mask[:, col]
+            if not obs.any():
+                continue
             seen = values[obs, col]
             sd = float(seen.std())
             if sd == 0.0:
                 raise InputError(f"column {int(col_origin[col])} has zero observed variance")
             values[obs, col] = (seen - seen.mean()) / sd
 
-    values[~mask] = 0.0
+    np.copyto(values, 0.0, where=~mask)
 
     if cfg.duplicate_columns:
         values = np.concatenate([values, values], axis=1)

@@ -28,6 +28,9 @@ VARIANT_GBTN = "gbtn"
 
 _SIGMA2_FLOOR = 1e-6
 
+# bytes of one row block of the residual that ``residual_sums`` forms
+_RESIDUAL_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class Hyperparameters:
@@ -148,6 +151,27 @@ class IdState:
 def residual(values: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
     """values - values[:, j] @ y, with j the basis columns in the slot order of y's rows."""
     return values - values[:, j] @ y
+
+
+def residual_sums(values: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  mask: np.ndarray | None = None) -> tuple[float, float]:
+    """Squared norms of R = values - x @ y over all entries and over the observed ones.
+
+    R is formed a block of rows at a time, each block about
+    ``_RESIDUAL_BLOCK_BYTES``, so no M x N temporary is made. Without a mask
+    both sums are the sum over all entries.
+    """
+    m, n = values.shape
+    rows = max(1, _RESIDUAL_BLOCK_BYTES // (8 * n))
+    total = observed = 0.0
+    for start in range(0, m, rows):
+        block = x[start:start + rows] @ y
+        np.subtract(values[start:start + rows], block, out=block)
+        total += float(np.vdot(block, block))
+        if mask is not None:
+            block *= mask[start:start + rows]
+            observed += float(np.vdot(block, block))
+    return total, total if mask is None else observed
 
 
 def gram_statistics(values: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

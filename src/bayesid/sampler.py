@@ -18,7 +18,8 @@ ICA 2009):
   from the data, O(MN), so the statistics never drift.
 
 An iteration therefore costs O(K^2 N + MN), plus O(KMN) on masked input,
-where ``C @ Y_J`` is formed once for the observed-entry loss. The rows of
+where ``C @ Y_J`` is formed once for the observed-entry loss, a block of
+rows at a time, so the loop makes no M x N temporary. The rows of
 the N - K columns outside the basis are not stored: the swap draws the
 incoming row from its prior when it proposes it.
 
@@ -71,6 +72,7 @@ from .model import (
     gram_statistics,
     init_state,
     residual,
+    residual_sums,
     sample_prior_rows,
     validate_state,
 )
@@ -446,16 +448,15 @@ class _TraceRecorder:
     def record(self, state: IdState, rss: float) -> None:
         """Record one iteration; ``rss`` is the Gram loss, shared with the next sigma^2 draw.
 
-        Only masked input forms the residual, once, for the observed-entry loss.
+        Only masked input forms the residual, a block of rows at a time, for
+        the observed-entry loss.
         """
         t = self.count
         self.mse[t] = rss / self.values.size
         if self.mask is None:
             rss_obs = rss
         else:
-            resid = residual(self.values, state.y, state.j)
-            resid *= self.mask
-            rss_obs = float(np.vdot(resid, resid))
+            rss_obs = residual_sums(self.values, self.values[:, state.j], state.y, self.mask)[1]
         self.mse_obs[t] = rss_obs / self.obs_count
         self.sigma2[t] = state.sigma2
         for p, (s, l) in enumerate(self.probes):

@@ -2,16 +2,38 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import bayesid
 from bayesid import cli
 from bayesid.cli import main
 from bayesid.diagnostics import build_run_report
-from bayesid.io import load_matrix, make_output_dir, read_trace_csv, remove_empty_dirs
+from bayesid.io import load_matrix, make_output_dir, read_trace_csv, remove_empty_dirs, save_matrix
 from bayesid.linalg import cpqr, numerical_rank
+from bayesid.model import ObservedMatrix
+
+
+def _run_process(*argv):
+    """Run ``python -m bayesid`` in a fresh interpreter, with the package imported here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bayesid.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "bayesid", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _write_masked(path, m, n, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=(m, n)) < 0.9
+    save_matrix(path, ObservedMatrix(values=np.where(mask, rng.normal(size=(m, n)), 0.0), mask=mask))
+    return path
 
 
 def _synth(tmp_path, name="synth.csv", rows=30, cols=10, rank=5, noise=0.0, seed=0):
@@ -143,6 +165,50 @@ class TestDecomposeGibbs:
         assert meta["magnitude_excess"] == 0.0
 
 
+class TestDecomposeMemory:
+    @pytest.mark.parametrize("method", ["rid", "gbt"])
+    def test_loaded_matrix_freed_before_the_decomposition(self, tmp_path, monkeypatch, method):
+        src = _write_masked(tmp_path / "in.csv", 40, 12, seed=3)
+        loaded = []
+        load = cli.load_matrix
+
+        def load_and_watch(*args, **kwargs):
+            raw = load(*args, **kwargs)
+            loaded.append(weakref.ref(raw))
+            return raw
+
+        alive = []
+        run = cli.randomized_id if method == "rid" else cli.run_gibbs
+
+        def watched(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_matrix", load_and_watch)
+        monkeypatch.setattr(cli, "randomized_id" if method == "rid" else "run_gibbs", watched)
+        argv = ["decompose", str(src), str(tmp_path / "out"), "--method", method, "--k", "3",
+                "--iterations", "5", "--burn-in", "1"]
+        assert main(argv) == 0
+        assert alive == [False]
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert (meta["rows_loaded"], meta["cols_loaded"]) == (40, 12)
+
+    def test_rid_run_peaks_below_three_arrays(self, tmp_path):
+        # the loaded matrix and the preprocessed one, each values plus mask, are
+        # 2.25 M x N float arrays; a run that also copies the matrix for every
+        # preprocessing step and forms whole-matrix loss temporaries peaks at 4.50
+        m, n = 400, 300
+        src = _write_masked(tmp_path / "in.csv", m, n, seed=5)
+        argv = ["decompose", str(src), str(tmp_path / "out"), "--method", "rid", "--k", "20"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * n * 8, f"peak {peak / (m * n * 8):.2f} M x N float arrays"
+
+
 class TestErrorExits:
     def test_config_errors_exit_2(self, tmp_path, capsys):
         src = _synth(tmp_path)
@@ -180,6 +246,29 @@ class TestErrorExits:
             assert main([*argv, "--out", str(out), "--k", "2", *flags]) == 2, argv
             assert capsys.readouterr().err.startswith("error: config: "), argv
             assert not out.exists(), argv
+
+    # numpy warnings would reach stderr only outside pytest's warning capture,
+    # so these two run the CLI as a process
+    def test_undo_log_overflow_prints_one_error_line(self, tmp_path):
+        src = tmp_path / "big.csv"
+        src.write_text("1000,1,2\n3,4,5\n6,7,8\n")
+        out = tmp_path / "o"
+        proc = _run_process("decompose", str(src), "--out", str(out), "--method", "rid",
+                            "--k", "1", "--undo-log", "--no-cap")
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: input: preprocessing produced non-finite values")
+        assert not out.exists()
+
+    def test_column_without_observed_entries_prints_nothing_on_stderr(self, tmp_path):
+        src = tmp_path / "gap.csv"
+        src.write_text("1,,2\n3,,5\n6,,9\n4,,1\n")
+        out = tmp_path / "o"
+        proc = _run_process("decompose", str(src), "--out", str(out), "--method", "rid",
+                            "--k", "1", "--min-observed", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert load_matrix(out / "C.csv").shape == (4, 1)
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main([

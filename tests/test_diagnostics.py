@@ -1,5 +1,7 @@
 """Reconstruction-error metrics, chain statistics, and run reports."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +18,8 @@ from bayesid.diagnostics import (
     posterior_mean_mse,
 )
 from bayesid.errors import DegenerateChainError, InputError
-from bayesid.model import Hyperparameters, ObservedMatrix
+from bayesid import model
+from bayesid.model import Hyperparameters, ObservedMatrix, residual_sums
 from bayesid.sampler import GibbsTrace, run_gibbs
 
 
@@ -92,6 +95,42 @@ class TestMseObserved:
         data = ObservedMatrix(values=np.zeros((2, 2)), mask=np.zeros((2, 2), dtype=bool))
         with pytest.raises(InputError):
             mse_observed(data, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _masked_fit(m, n, seed, k=10):
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=(m, n)) < 0.9
+    data = ObservedMatrix(values=np.where(mask, rng.normal(size=(m, n)), 0.0), mask=mask)
+    return data, rng.normal(size=(m, k)), rng.normal(size=(k, n))
+
+
+class TestBlockedLosses:
+    """Both losses form the residual a block of rows at a time (``model.residual_sums``)."""
+
+    # (1200, 500): several blocks of many rows; (3, 140_000): one row per block
+    @pytest.mark.parametrize("m, n", [(1200, 500), (3, 140_000)])
+    def test_match_the_whole_residual(self, m, n):
+        data, x, y = _masked_fit(m, n, seed=83)
+        resid = data.values - x @ y
+        npt.assert_allclose(mse(data.values, x, y), np.mean(resid**2), rtol=1e-12)
+        npt.assert_allclose(mse_observed(data, x, y), np.mean(resid[data.mask] ** 2), rtol=1e-12)
+        total, observed = residual_sums(data.values, x, y, data.mask)
+        npt.assert_allclose(observed, np.sum(resid[data.mask] ** 2), rtol=1e-12)
+        assert residual_sums(data.values, x, y) == (total, total)
+
+    @pytest.mark.parametrize("loss", [mse, mse_observed], ids=["mse", "mse_observed"])
+    def test_peak_below_one_array(self, loss):
+        m, n = 1200, 500
+        assert m * n * 8 >= 4 * model._RESIDUAL_BLOCK_BYTES
+        data, x, y = _masked_fit(m, n, seed=89)
+        args = (data, x, y) if loss is mse_observed else (data.values, x, y)
+        tracemalloc.start()
+        try:
+            loss(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8, f"peak {peak / (m * n * 8):.2f} M x N float arrays"
 
 
 class TestAutocorrelation:

@@ -1,7 +1,11 @@
 """Matrix file formats, preprocessing, and result serialization."""
 
 import csv
+import itertools
 import json
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -394,6 +398,124 @@ class TestPreprocess:
             PreprocessConfig(cap_value=np.nan)
         with pytest.raises(ConfigurationError):
             PreprocessConfig(min_observed_per_vector=-1)
+
+
+    def test_undo_log_overflow_warns_nothing(self):
+        data = self._full([[1000.0, 1.0], [2.0, 3.0]])
+        cfg = PreprocessConfig(undo_log=True, cap_value=None, standardize=False,
+                               duplicate_columns=False, min_observed_per_vector=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="non-finite"):
+                preprocess(data, cfg)
+
+    def test_column_without_observed_entries_stays_zero_and_warns_nothing(self):
+        rng = np.random.default_rng(143)
+        mask = np.ones((6, 3), dtype=bool)
+        mask[:, 1] = False
+        data = ObservedMatrix(values=np.where(mask, rng.normal(size=(6, 3)), 0.0), mask=mask)
+        cfg = PreprocessConfig(duplicate_columns=False, min_observed_per_vector=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = preprocess(data, cfg)
+        npt.assert_array_equal(out.values[:, 1], 0.0)
+        npt.assert_array_equal(out.mask, mask)
+        for col in (0, 2):
+            npt.assert_allclose(out.values[:, col].mean(), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("undo_log", [False, True])
+    def test_peak_below_1_6_float_arrays(self, undo_log):
+        # the result itself is one copy of the values and one of the mask
+        m, n = 400, 300
+        rng = np.random.default_rng(149)
+        mask = rng.uniform(size=(m, n)) < 0.9
+        data = ObservedMatrix(values=np.where(mask, rng.normal(size=(m, n)), 0.0), mask=mask)
+        cfg = PreprocessConfig(undo_log=undo_log, duplicate_columns=False)
+        tracemalloc.start()
+        try:
+            preprocess(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * m * n * 8, f"peak {peak / (m * n * 8):.2f} M x N float arrays"
+
+
+def _gather_preprocess(data, cfg):
+    """Preprocessing by gathering the observed entries at every step: the
+    formulas ``preprocess`` computes in place, kept as its oracle."""
+    values = data.values.copy()
+    mask = data.mask.copy()
+    with np.errstate(over="ignore"):
+        if cfg.undo_log:
+            values[mask] = np.exp(values[mask])
+    if cfg.cap_value is not None:
+        values[mask] = np.minimum(values[mask], cfg.cap_value)
+    if not np.all(np.isfinite(values[mask])):
+        raise InputError("preprocessing produced non-finite values (undo_log overflow without a cap?)")
+    keep_rows = mask.sum(axis=1) >= cfg.min_observed_per_vector
+    values, mask = values[keep_rows], mask[keep_rows]
+    col_origin = np.flatnonzero(mask.sum(axis=0) >= cfg.min_observed_per_vector)
+    values, mask = values[:, col_origin], mask[:, col_origin]
+    if cfg.standardize:
+        for col in range(values.shape[1]):
+            obs = mask[:, col]
+            seen = values[obs, col]
+            sd = float(seen.std())
+            if sd == 0.0:
+                raise InputError(f"column {int(col_origin[col])} has zero observed variance")
+            values[obs, col] = (seen - seen.mean()) / sd
+    values[~mask] = 0.0
+    if cfg.duplicate_columns:
+        values = np.concatenate([values, values], axis=1)
+        mask = np.concatenate([mask, mask], axis=1)
+    return values, mask
+
+
+# rows and columns each drop case removes under min_observed_per_vector=3
+_DROPS = {"none": (0, 0), "row": (1, 0), "column": (0, 1), "both": (1, 2)}
+
+
+class TestPreprocessMatchesGatherOracle:
+    @pytest.mark.parametrize(
+        "undo_log, cap, drops, standardize, duplicate",
+        list(itertools.product([False, True], [None, 2.0, -0.5], list(_DROPS), [False, True],
+                               [False, True])),
+    )
+    def test_bit_identical(self, undo_log, cap, drops, standardize, duplicate):
+        rng = np.random.default_rng(151)
+        m, n = 37, 23
+        mask = rng.uniform(size=(m, n)) < 0.85
+        mask[:, 0] = True  # every row keeps at least 3 observed entries
+        mask[:3, 1:] = True  # every column keeps at least 3 observed entries
+        rows_dropped, cols_dropped = _DROPS[drops]
+        if cols_dropped:
+            mask[:, 9] = False
+            mask[[4, 11], 9] = True
+        if rows_dropped:
+            mask[5] = False
+            mask[5, [2, 7]] = True
+        if drops == "both":
+            # column 13 falls below 3 observed entries only once row 5 is dropped
+            mask[5, 7] = False
+            mask[:, 13] = False
+            mask[[5, 8, 12], 13] = True
+        values = np.where(mask, rng.normal(0.5, 1.5, size=(m, n)), 0.0)
+        data = ObservedMatrix(values=values, mask=mask)
+        cfg = PreprocessConfig(cap_value=cap, undo_log=undo_log, standardize=standardize,
+                               duplicate_columns=duplicate, min_observed_per_vector=3)
+        try:
+            want = _gather_preprocess(data, cfg)
+        except InputError as exc:
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                preprocess(data, cfg)
+            return
+        out = preprocess(data, cfg)
+        assert out.values.tobytes() == want[0].tobytes()
+        npt.assert_array_equal(out.mask, want[1])
+        # the layout decides how the matrix products downstream round
+        assert (out.values.strides, out.mask.strides) == (want[0].strides, want[1].strides)
+        assert out.shape == (m - rows_dropped, (n - cols_dropped) * (1 + duplicate))
+        npt.assert_array_equal(data.values, values)  # the input is not modified
 
 
 class TestSaveResult:

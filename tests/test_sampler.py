@@ -411,10 +411,6 @@ class TestGramStatistics:
             assert trace.accepted_swaps == 20
 
     def test_loop_allocates_no_m_by_n_array(self, monkeypatch):
-        m, n = 400, 300
-        rng = np.random.default_rng(177)
-        data = ObservedMatrix.fully_observed(rng.normal(size=(m, n)))
-        hp = Hyperparameters(k=10, iterations=20, burn_in=5, thinning=1)
         start = sampler.init_state
 
         def init_then_reset(data, hp, rng):
@@ -423,13 +419,25 @@ class TestGramStatistics:
             return state
 
         monkeypatch.setattr(sampler, "init_state", init_then_reset)
-        tracemalloc.start()
-        try:
-            run_gibbs(data, hp, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < m * n * 8, f"peak {peak} bytes during the loop, an M x N array is {m * n * 8}"
+        rng = np.random.default_rng(177)
+        # fully observed, then masked: the observed-entry loss is formed in row
+        # blocks, so the masked input is made at least four blocks large
+        for m, n, observed in ((400, 300, 1.0), (1200, 500, 0.9)):
+            values = rng.normal(size=(m, n))
+            mask = rng.uniform(size=(m, n)) < observed
+            data = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask)
+            assert observed == 1.0 or m * n * 8 >= 4 * model._RESIDUAL_BLOCK_BYTES
+            hp = Hyperparameters(k=10, iterations=20, burn_in=5, thinning=1)
+            tracemalloc.start()
+            try:
+                run_gibbs(data, hp, rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < m * n * 8, (
+                f"peak {peak} bytes during the loop at {m} x {n} (observed {observed}), "
+                f"an M x N array is {m * n * 8}"
+            )
 
     @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
     def test_state_holds_o_kn_bytes(self, variant):
