@@ -27,7 +27,7 @@ from .io import (
     load_matrix,
     make_output_dir,
     open_output,
-    preprocess,
+    preprocess_in_place,
     read_trace_csv,
     remove_empty_dirs,
     save_matrix,
@@ -218,17 +218,18 @@ def _load_into(out_dir, args, prep, run) -> int:
     """Create the output directory, read and preprocess the input, and return
     ``run(loaded_shape, data)``.
 
-    Only the loaded matrix's shape reaches ``run``, so the loaded matrix is
-    freed before the decomposition and the preprocessed one is the only
-    copy left. An unusable output path stops the run before the input is
-    read. If the input or ``run`` then fails, the directories created here
-    are removed again while they are empty, so a failed run leaves no stray
-    directory behind.
+    The preprocessing runs in place on the loaded matrix, so from load to
+    write the matrix is held once; under duplication the twice-as-wide
+    result is the one new array, and the loaded matrix is freed before
+    ``run``. An unusable output path stops the run before
+    the input is read. If the input or ``run`` then fails, the directories
+    created here are removed again while they are empty, so a failed run
+    leaves no stray directory behind.
     """
     created = make_output_dir(out_dir)
     try:
         raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-        loaded_shape, data = raw.shape, preprocess(raw, prep)
+        loaded_shape, data = raw.shape, preprocess_in_place(raw, prep)
         del raw
         return run(loaded_shape, data)
     except BaseException:

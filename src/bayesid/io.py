@@ -22,6 +22,11 @@ header line without a quote), is parsed by numpy's C parser. Any other
 file, and any plain one the C parser refuses, is read by the csv module's
 reader (``_csv_rows``), which alone raises the parse errors; both readers
 give the same values, bit for bit, and the same mask.
+
+Every loader returns row-major arrays, and preprocessing keeps that
+layout: ``preprocess_in_place`` runs the cleaning steps on a loaded
+matrix's own arrays, so a command holds the matrix once, and
+``preprocess`` runs the same steps on a copy.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ FORMAT_MATRIX_MARKET = "matrix_market"
 _FLOAT_FMT = "%.17g"
 _DELETE_PLAIN = str.maketrans("", "", "0123456789+-.eE, ")
 _TRACE_BASE = ["iteration", "mse", "mse_observed", "sigma2"]
+
+# bytes of a block of rows that preprocessing copies at a time
+_BLOCK_BYTES = 1 << 16
 
 
 @contextmanager
@@ -232,11 +240,13 @@ def _load_plain_csv(path: Path, has_header: bool) -> ObservedMatrix | None:
                                 quotechar=None, ndmin=2)
     except (_NotPlain, ValueError, InputError):
         return None
-    if np.isinf(values).any():
+    mask = np.isnan(values)
+    np.copyto(values, 0.0, where=mask)
+    np.logical_not(mask, out=mask)
+    # with the nans zeroed, min and max meet any infinity without an M x N temporary
+    if np.isinf(values.min()) or np.isinf(values.max()):
         return None
-    unobserved = np.isnan(values)
-    values[unobserved] = 0.0
-    return ObservedMatrix(values=values, mask=~unobserved)
+    return ObservedMatrix(values=values, mask=mask)
 
 
 def _load_csv(path: Path, has_header: bool) -> ObservedMatrix:
@@ -359,67 +369,131 @@ class PreprocessConfig:
 
 
 def preprocess(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:
-    """Apply the configured cleaning pipeline and return the new matrix.
+    """Apply the configured cleaning pipeline to a copy of data and return it.
 
-    Rows are dropped before columns (one pass each). Standardization works
+    Rows are dropped before columns are counted, so a column can fall short
+    once sparse rows are gone; both go in one pass. Standardization works
     per column over its observed entries only; a column whose observed
     entries have zero variance stops the run with an error naming it, and
     a column with no observed entries (possible only with
     ``min_observed_per_vector=0``) stays zero. Unobserved entries are
     stored as zero in the result. Duplication appends a full copy, so
-    column n + N is the twin of column n.
+    column n + N is the twin of column n. An overflow of the exponential is
+    reported by the finiteness check, as InputError, and warns nothing.
 
-    The steps work in place on one column-major copy of the values and the
-    mask: the exponential and the cap run over the whole array, unobserved
-    entries included, which is safe because those are set back to zero at
-    the end, and rows and columns are indexed only when some are dropped.
-    An overflow of the exponential is reported by the finiteness check, as
-    InputError, and warns nothing.
+    The copy goes into the result's own row-major buffers, with room for
+    the twins under duplication, and the steps of ``preprocess_in_place``
+    run there; data is left as it is.
     """
-    # column-major, the layout a column selection gives, so the result has one
-    # layout whether or not something is dropped; the matrix products
-    # downstream round differently on another layout
-    values = data.values.copy(order="F")
-    mask = data.mask.copy(order="F")
+    m, n = data.shape
+    size = m * n * (2 if cfg.duplicate_columns else 1)
+    values, mask = np.empty(size), np.empty(size, dtype=bool)
+    values[:m * n].reshape(m, n)[...] = data.values
+    mask[:m * n].reshape(m, n)[...] = data.mask
+    return _clean(values, mask, m, n, cfg)
 
+
+def preprocess_in_place(data: ObservedMatrix, cfg: PreprocessConfig) -> ObservedMatrix:
+    """``preprocess`` on data's own arrays, which it overwrites.
+
+    The result is a view of the leading part of data's buffers, so no copy
+    of the matrix is made. Under duplication the result is twice as wide,
+    so it is the one new array, and data is left as it is; so is a matrix
+    whose arrays are not row-major and writeable, which ``preprocess``
+    copies first.
+    """
+    values, mask = data.values, data.mask
+    if cfg.duplicate_columns or not (values.flags.carray and mask.flags.carray):
+        return preprocess(data, cfg)
+    return _clean(values.reshape(-1), mask.reshape(-1), *data.shape, cfg)
+
+
+def _clean(values: np.ndarray, mask: np.ndarray, m: int, n: int,
+           cfg: PreprocessConfig) -> ObservedMatrix:
+    """The pipeline's steps, in place on the row-major m x n matrix at the
+    front of the flat buffers values and mask.
+
+    The exponential and the cap run over every entry, unobserved ones
+    included, which is safe because those are set back to zero at the end.
+    Kept rows and columns are squeezed forward and twins spread backward
+    within the buffers, which under duplication have room for the twins.
+    """
+    a, obs = values[:m * n].reshape(m, n), mask[:m * n].reshape(m, n)
     if cfg.undo_log:
         with np.errstate(over="ignore"):
-            np.exp(values, out=values)
+            np.exp(a, out=a)
     if cfg.cap_value is not None:
-        np.minimum(values, cfg.cap_value, out=values)
-    if not np.isfinite(values).all():
+        np.minimum(a, cfg.cap_value, out=a)
+    # min and max meet any nan or infinity, without an M x N temporary
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise InputError("preprocessing produced non-finite values (undo_log overflow without a cap?)")
 
-    keep_rows = mask.sum(axis=1) >= cfg.min_observed_per_vector
+    keep_rows = obs.sum(axis=1) >= cfg.min_observed_per_vector
+    col_counts = obs.sum(axis=0)
     if not keep_rows.all():
-        values, mask = values[keep_rows], mask[keep_rows]
-    col_origin = np.flatnonzero(mask.sum(axis=0) >= cfg.min_observed_per_vector)
-    if col_origin.size < mask.shape[1] or not values.flags.f_contiguous:
-        # after a row drop this also restores the column-major layout
-        values, mask = values[:, col_origin], mask[:, col_origin]
-    if values.shape[0] == 0 or values.shape[1] == 0:
+        col_counts -= obs[~keep_rows].sum(axis=0)
+    col_origin = np.flatnonzero(col_counts >= cfg.min_observed_per_vector)
+    if not keep_rows.any() or col_origin.size == 0:
         raise InputError(
             f"no rows or columns with at least {cfg.min_observed_per_vector} observed entries remain"
         )
+    if col_origin.size < n or not keep_rows.all():
+        rows = np.flatnonzero(keep_rows)
+        a, obs = _squeeze(values, a, rows, col_origin), _squeeze(mask, obs, rows, col_origin)
 
     if cfg.standardize:
-        for col in range(values.shape[1]):
-            obs = mask[:, col]
-            if not obs.any():
+        for col in range(a.shape[1]):
+            seen_at = obs[:, col]
+            if not seen_at.any():
                 continue
-            seen = values[obs, col]
+            seen = a[seen_at, col]
             sd = float(seen.std())
             if sd == 0.0:
                 raise InputError(f"column {int(col_origin[col])} has zero observed variance")
-            values[obs, col] = (seen - seen.mean()) / sd
+            a[seen_at, col] = (seen - seen.mean()) / sd
 
-    np.copyto(values, 0.0, where=~mask)
+    # zeroed through the inverted mask, which is then turned back, so no
+    # M x N temporary is made
+    np.logical_not(obs, out=obs)
+    np.copyto(a, 0.0, where=obs)
+    np.logical_not(obs, out=obs)
 
     if cfg.duplicate_columns:
-        values = np.concatenate([values, values], axis=1)
-        mask = np.concatenate([mask, mask], axis=1)
+        a, obs = _spread_twins(values, a), _spread_twins(mask, obs)
+    return ObservedMatrix(values=a, mask=obs)
 
-    return ObservedMatrix(values=values, mask=mask)
+
+def _squeeze(buf: np.ndarray, arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Move arr[rows][:, cols] to the front of buf, the flat buffer that arr
+    is the row-major front of, and return it there.
+
+    A block of rows is gathered before it is written, and a kept row
+    neither moves to a later row nor gets wider, so every write lands
+    below the rows still to be read.
+    """
+    out = buf[:rows.size * cols.size].reshape(rows.size, cols.size)
+    step = max(1, _BLOCK_BYTES // (buf.itemsize * cols.size))
+    for lo in range(0, rows.size, step):
+        out[lo:lo + step] = arr[np.ix_(rows[lo:lo + step], cols)]
+    return out
+
+
+def _spread_twins(buf: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Widen arr, the row-major front of the flat buffer buf, to [arr, arr]
+    within buf, and return it.
+
+    Blocks of rows go from the last one up, so every write lands above the
+    rows still to be read; numpy copies a block through a buffer of its
+    own where its source and target overlap.
+    """
+    m, n = arr.shape
+    out = buf[:m * 2 * n].reshape(m, 2 * n)
+    step = max(1, _BLOCK_BYTES // (buf.itemsize * n))
+    for hi in range(m, 0, -step):
+        lo = max(0, hi - step)
+        out[lo:hi, :n] = arr[lo:hi]
+        out[lo:hi, n:] = out[lo:hi, :n]
+    return out
 
 
 def save_result(out_dir, c: np.ndarray, w: np.ndarray, metadata: dict) -> None:

@@ -1,9 +1,5 @@
-"""Column-pivoted QR, QR-based least squares, and dominant column sets.
-
-Thin wrappers around LAPACK (via scipy) that pin down the conventions the
-rest of the package relies on: permutation as an index array, nonincreasing
-|R| diagonal, and rank deficiency reported as an error instead of a silent
-minimum-norm solution.
+"""Dominant column sets from column-pivoted QR, and the numerical rank of
+a pivoted R factor.
 
 The dominant column set reads only the first K pivots, so it runs K steps
 of a left-looking pivoted QR instead of LAPACK geqp3 on all of A: the same
@@ -15,12 +11,8 @@ are used as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
-
-from .errors import RankDeficiencyError
 
 # Weights this close above 1 come from rounding (duplicated columns give
 # exactly 1), and exchanging them would not grow the volume.
@@ -29,15 +21,6 @@ _DOMINANCE_TOL = 1e-10
 # dlaqp2's tol3z, sqrt(dlamch('E')): a downdated squared norm at or below
 # this fraction of its last computed value is recomputed from the data.
 _NORM_RECOMPUTE_TOL = np.sqrt(np.finfo(float).eps / 2)
-
-
-@dataclass
-class PivotedQr:
-    """Economic factorization A[:, perm] = q @ r with |diag(r)| nonincreasing."""
-
-    q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -49,13 +32,6 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def cpqr(a) -> PivotedQr:
-    """Householder QR with column pivoting (economic form)."""
-    a = _as_matrix(a)
-    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    return PivotedQr(q=q, r=r, perm=perm)
-
-
 def numerical_rank(r: np.ndarray, rtol: float | None = None) -> int:
     """Rank estimate from the diagonal of a pivoted R factor."""
     diag = np.abs(np.diag(r))
@@ -64,26 +40,6 @@ def numerical_rank(r: np.ndarray, rtol: float | None = None) -> int:
     if rtol is None:
         rtol = max(r.shape) * np.finfo(float).eps
     return int(np.count_nonzero(diag > rtol * diag[0]))
-
-
-def solve_least_squares(c, a) -> np.ndarray:
-    """Minimize ||a - c @ w||_F over w, via pivoted QR of c.
-
-    Raises RankDeficiencyError (carrying the numerical rank) when c does not
-    have full column rank; the caller decides how to recover.
-    """
-    c = _as_matrix(c)
-    a = _as_matrix(a)
-    if c.shape[0] != a.shape[0]:
-        raise ValueError(f"row counts differ: c has {c.shape[0]}, a has {a.shape[0]}")
-    fac = cpqr(c)
-    rank = numerical_rank(fac.r)
-    if rank < c.shape[1]:
-        raise RankDeficiencyError("least-squares matrix is rank deficient", rank)
-    w_perm = scipy.linalg.solve_triangular(fac.r, fac.q.T @ a)
-    w = np.empty_like(w_perm)
-    w[fac.perm] = w_perm
-    return w
 
 
 def _truncated_cpqr(a: np.ndarray, k: int):

@@ -31,6 +31,9 @@ _SIGMA2_FLOOR = 1e-6
 # bytes of one row block of the residual that ``residual_sums`` forms
 _RESIDUAL_BLOCK_BYTES = 1 << 20
 
+# mask bytes of one row block that ``ObservedMatrix`` checks at a time
+_CHECK_BLOCK_BYTES = 1 << 14
+
 
 @dataclass
 class Hyperparameters:
@@ -94,10 +97,15 @@ class ObservedMatrix:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match values shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max meet any nan or infinity, and the unobserved entries are
+        # read a block of rows at a time, so no M x N temporary is made
+        values, mask = self.values, self.mask
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("values contain non-finite entries")
-        if np.any(self.values[~self.mask] != 0.0):
-            raise ValueError("unobserved entries must be stored as 0")
+        rows = max(1, _CHECK_BLOCK_BYTES // max(1, values.shape[1]))
+        for lo in range(0, values.shape[0], rows):
+            if np.any(values[lo:lo + rows], where=~mask[lo:lo + rows]):
+                raise ValueError("unobserved entries must be stored as 0")
 
     @classmethod
     def fully_observed(cls, values) -> "ObservedMatrix":

@@ -1,8 +1,10 @@
 """Randomized interpolative decomposition baseline.
 
-Samples a modest overset of columns uniformly, lets a column-pivoted QR
-pick K of them, and solves an unconstrained least squares for the
-interpolation weights. Fast, but nothing bounds the weight magnitudes;
+Samples a modest overset of columns uniformly, and one column-pivoted QR
+of that sample both picks K of them and gives the unconstrained
+least-squares interpolation weights (Voronin and Martinsson, "Efficient
+algorithms for CUR and interpolative matrix decompositions", Adv. Comput.
+Math. 2017). Fast, but nothing bounds the weight magnitudes;
 ``max_magnitude_excess`` quantifies how far outside [-1, 1] they land.
 """
 
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConfigurationError
-from .linalg import cpqr, solve_least_squares
+from .errors import ConfigurationError, RankDeficiencyError
+from .linalg import numerical_rank
 
 
 @dataclass
@@ -31,8 +34,15 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
     """Interpolative decomposition with randomized column sampling.
 
     ``ceil(oversample * k)`` distinct columns are sampled uniformly (all of
-    them when that exceeds the column count), pivoted QR keeps the first k
-    pivots, and the weights are recomputed against the full matrix.
+    them when that exceeds the column count) and factored once, in place,
+    by column-pivoted QR, B P = Q R. The first k pivots are the basis C,
+    and since C spans the first k columns Q1 of Q, the least-squares
+    weights of the full matrix on C are W = R11^-1 Q1^T A, with R11 the
+    leading k x k block of R, rows put in the order of C's columns.
+
+    Raises ValueError when a holds a non-finite entry, and
+    RankDeficiencyError (carrying the numerical rank) when R11 is
+    numerically rank deficient.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -42,14 +52,25 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     if oversample < 1.0:
         raise ConfigurationError(f"oversample must be at least 1, got {oversample}")
+    # min and max meet any nan or infinity, without an M x N temporary
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError("matrix contains non-finite entries")
 
     n_sample = min(math.ceil(oversample * k), n)
     sampled = np.sort(rng.choice(n, size=n_sample, replace=False))
-    fac = cpqr(a[:, sampled])
-    j_set = np.sort(sampled[fac.perm[:k]])
-    c = a[:, j_set]
-    w = solve_least_squares(c, a)
-    return RidResult(j_set=j_set, c=c, w=w, max_abs_w=float(np.max(np.abs(w))))
+    # the sample is a copy of its own, so LAPACK may overwrite it
+    q, r, perm = scipy.linalg.qr(a[:, sampled], overwrite_a=True, mode="economic", pivoting=True)
+    r11 = r[:k, :k]
+    rank = numerical_rank(r11)
+    if rank < k:
+        raise RankDeficiencyError("the k leading pivots of the sample are rank deficient", rank)
+    pivots = sampled[perm[:k]]
+    order = np.argsort(pivots)
+    w = q[:, :k].T @ a
+    del q  # freed before the solve and the gather of C
+    w = scipy.linalg.solve_triangular(r11, w)[order]
+    j_set = pivots[order]
+    return RidResult(j_set=j_set, c=a[:, j_set], w=w, max_abs_w=float(np.max(np.abs(w))))
 
 
 def max_magnitude_excess(w) -> float:

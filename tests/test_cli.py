@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import bayesid
 from bayesid import cli
 from bayesid.cli import main
 from bayesid.diagnostics import build_run_report
 from bayesid.io import load_matrix, make_output_dir, read_trace_csv, remove_empty_dirs, save_matrix
-from bayesid.linalg import cpqr, numerical_rank
+from bayesid.linalg import numerical_rank
 from bayesid.model import ObservedMatrix
 
 
@@ -64,7 +65,7 @@ class TestSynth:
     def test_noise_free_instance_has_stated_rank(self, tmp_path):
         out = _synth(tmp_path)
         data = load_matrix(out)
-        assert numerical_rank(cpqr(data.values).r) == 5
+        assert numerical_rank(scipy.linalg.qr(data.values, mode="r", pivoting=True)[0]) == 5
         # twin columns are exact copies
         npt.assert_array_equal(data.values[:, 10:], data.values[:, :10])
 
@@ -207,6 +208,31 @@ class TestDecomposeMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * m * n * 8, f"peak {peak / (m * n * 8):.2f} M x N float arrays"
+
+    @staticmethod
+    def _rid_peak_arrays(tmp_path, *extra):
+        m, n = 1200, 500
+        src = _write_masked(tmp_path / "in.csv", m, n, seed=7)
+        argv = ["decompose", str(src), str(tmp_path / "out"), "--method", "rid", "--k", "40", *extra]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (m * n * 8)
+
+    def test_rid_run_holds_one_copy(self, tmp_path):
+        # the matrix, values plus mask, is 1.125 M x N float arrays; preprocessing
+        # a second, column-major copy peaks at 2.49
+        peak = self._rid_peak_arrays(tmp_path)
+        assert peak < 1.8, f"peak {peak:.2f} M x N float arrays"
+
+    def test_duplicated_rid_run_allocates_the_twins_once(self, tmp_path):
+        # the loaded matrix and the 2N-wide result are 3.375 M x N float arrays;
+        # preprocessing a copy and concatenating it with itself peaks at 4.26
+        peak = self._rid_peak_arrays(tmp_path, "--duplicate-columns")
+        assert peak < 3.5, f"peak {peak:.2f} M x N float arrays"
 
 
 class TestErrorExits:

@@ -18,6 +18,7 @@ from bayesid.io import (
     PreprocessConfig,
     load_matrix,
     preprocess,
+    preprocess_in_place,
     read_trace_csv,
     save_matrix,
     save_result,
@@ -439,6 +440,39 @@ class TestPreprocess:
             tracemalloc.stop()
         assert peak < 1.6 * m * n * 8, f"peak {peak / (m * n * 8):.2f} M x N float arrays"
 
+    @staticmethod
+    def _peak_arrays(data, cfg):
+        m, n = data.shape
+        tracemalloc.start()
+        try:
+            preprocess(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (m * n * 8)
+
+    @staticmethod
+    def _masked(rng, m, n):
+        mask = rng.uniform(size=(m, n)) < 0.9
+        return np.where(mask, rng.normal(size=(m, n)), 0.0), mask
+
+    def test_duplication_peak_below_2_4_float_arrays(self):
+        # the 2N-wide result is 2.25 M x N float arrays; preprocessing a copy
+        # and then concatenating it with itself peaks at 3.13
+        values, mask = self._masked(np.random.default_rng(157), 400, 300)
+        peak = self._peak_arrays(ObservedMatrix(values=values, mask=mask), PreprocessConfig())
+        assert peak < 2.4, f"peak {peak:.2f} M x N float arrays"
+
+    def test_row_drop_peak_below_1_5_float_arrays(self):
+        # a row selection and then a column selection of the copy peak at 2.26
+        values, mask = self._masked(np.random.default_rng(163), 400, 300)
+        mask[7] = False
+        mask[7, :2] = True
+        values[~mask] = 0.0
+        peak = self._peak_arrays(ObservedMatrix(values=values, mask=mask),
+                                 PreprocessConfig(duplicate_columns=False))
+        assert peak < 1.5, f"peak {peak:.2f} M x N float arrays"
+
 
 def _gather_preprocess(data, cfg):
     """Preprocessing by gathering the observed entries at every step: the
@@ -468,20 +502,26 @@ def _gather_preprocess(data, cfg):
     if cfg.duplicate_columns:
         values = np.concatenate([values, values], axis=1)
         mask = np.concatenate([mask, mask], axis=1)
-    return values, mask
+    return np.ascontiguousarray(values), np.ascontiguousarray(mask)
 
 
 # rows and columns each drop case removes under min_observed_per_vector=3
 _DROPS = {"none": (0, 0), "row": (1, 0), "column": (0, 1), "both": (1, 2)}
+_ORACLE_CASES = list(itertools.product([False, True], [None, 2.0, -0.5], list(_DROPS), [False, True],
+                                       [False, True]))
 
 
 class TestPreprocessMatchesGatherOracle:
-    @pytest.mark.parametrize(
-        "undo_log, cap, drops, standardize, duplicate",
-        list(itertools.product([False, True], [None, 2.0, -0.5], list(_DROPS), [False, True],
-                               [False, True])),
-    )
+    @pytest.mark.parametrize("undo_log, cap, drops, standardize, duplicate", _ORACLE_CASES)
     def test_bit_identical(self, undo_log, cap, drops, standardize, duplicate):
+        self._check(preprocess, undo_log, cap, drops, standardize, duplicate)
+
+    @pytest.mark.parametrize("undo_log, cap, drops, standardize, duplicate", _ORACLE_CASES)
+    def test_in_place_bit_identical(self, undo_log, cap, drops, standardize, duplicate):
+        self._check(preprocess_in_place, undo_log, cap, drops, standardize, duplicate)
+
+    @staticmethod
+    def _check(pipeline, undo_log, cap, drops, standardize, duplicate):
         rng = np.random.default_rng(151)
         m, n = 37, 23
         mask = rng.uniform(size=(m, n)) < 0.85
@@ -507,15 +547,54 @@ class TestPreprocessMatchesGatherOracle:
             want = _gather_preprocess(data, cfg)
         except InputError as exc:
             with pytest.raises(InputError, match=re.escape(str(exc))):
-                preprocess(data, cfg)
+                pipeline(data, cfg)
             return
-        out = preprocess(data, cfg)
+        out = pipeline(data, cfg)
         assert out.values.tobytes() == want[0].tobytes()
         npt.assert_array_equal(out.mask, want[1])
         # the layout decides how the matrix products downstream round
         assert (out.values.strides, out.mask.strides) == (want[0].strides, want[1].strides)
         assert out.shape == (m - rows_dropped, (n - cols_dropped) * (1 + duplicate))
-        npt.assert_array_equal(data.values, values)  # the input is not modified
+        if pipeline is preprocess or duplicate:
+            npt.assert_array_equal(data.values, values)  # the input is not modified
+            npt.assert_array_equal(data.mask, mask)
+        else:
+            # the result lies at the front of the input's own buffers
+            assert np.shares_memory(out.values, data.values)
+            assert np.shares_memory(out.mask, data.mask)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("pipeline", [preprocess, preprocess_in_place], ids=["copy", "in_place"])
+    def test_bit_identical_across_row_blocks(self, pipeline, duplicate):
+        # the mask alone spans several of the blocks that the drop and the
+        # duplication copy at a time, and the values many more
+        m, n = 3000, 50
+        assert m * n > 2 * io._BLOCK_BYTES
+        rng = np.random.default_rng(173)
+        mask = rng.uniform(size=(m, n)) < 0.9
+        mask[[3, 1400, m - 1]] = False  # rows dropped in the first, a middle and the last block
+        mask[:, 17] = False
+        mask[:2, 17] = True
+        values = np.where(mask, rng.normal(size=(m, n)), 0.0)
+        data = ObservedMatrix(values=values, mask=mask)
+        cfg = PreprocessConfig(duplicate_columns=duplicate)
+        want = _gather_preprocess(data, cfg)
+        out = pipeline(data, cfg)
+        assert out.values.tobytes() == want[0].tobytes()
+        npt.assert_array_equal(out.mask, want[1])
+        assert out.shape == (m - 3, (n - 1) * (1 + duplicate))
+
+    def test_in_place_copies_a_column_major_input(self):
+        rng = np.random.default_rng(167)
+        mask = rng.uniform(size=(9, 6)) < 0.8
+        values = np.asfortranarray(np.where(mask, rng.normal(size=(9, 6)), 0.0))
+        data = ObservedMatrix(values=values, mask=np.asfortranarray(mask))
+        cfg = PreprocessConfig(duplicate_columns=False, min_observed_per_vector=0)
+        want = preprocess(data, cfg)
+        out = preprocess_in_place(data, cfg)
+        assert out.values.tobytes() == want.values.tobytes()
+        assert not np.shares_memory(out.values, data.values)
+        npt.assert_array_equal(data.values, values)
 
 
 class TestSaveResult:

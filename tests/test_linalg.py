@@ -1,71 +1,13 @@
-"""Pivoted QR and least-squares wrappers."""
+"""Numerical rank of a pivoted R factor."""
 
 import numpy as np
-import numpy.testing as npt
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import scipy.linalg
 
-from bayesid.errors import RankDeficiencyError
-from bayesid.linalg import cpqr, numerical_rank, solve_least_squares
+from bayesid.linalg import numerical_rank
 
 
-def _check_factorization(a, fac, rtol=1e-12):
-    recon = fac.q @ fac.r
-    npt.assert_allclose(recon, a[:, fac.perm], atol=rtol * max(1.0, np.abs(a).max()))
-    npt.assert_allclose(fac.q.T @ fac.q, np.eye(fac.q.shape[1]), atol=1e-10)
-    diag = np.abs(np.diag(fac.r))
-    assert np.all(np.diff(diag) <= 1e-12)
-
-
-class TestCpqr:
-    def test_identity(self):
-        fac = cpqr(np.eye(3))
-        npt.assert_allclose(np.abs(np.diag(fac.r)), np.ones(3), atol=1e-14)
-        _check_factorization(np.eye(3), fac)
-
-    def test_rank_one_outer_product(self):
-        u = np.arange(1.0, 6.0)
-        v = np.array([2.0, -1.0, 0.5, 3.0])
-        a = np.outer(u, v)
-        fac = cpqr(a)
-        diag = np.abs(np.diag(fac.r))
-        assert diag[0] > 0
-        assert np.all(diag[1:] <= 1e-12)
-        assert numerical_rank(fac.r) == 1
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(20, 10))
-        fac = cpqr(a)
-        rel = np.linalg.norm(a[:, fac.perm] - fac.q @ fac.r) / np.linalg.norm(a)
-        assert rel <= 1e-12
-        _check_factorization(a, fac)
-
-    def test_large_matrix(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(200, 200))
-        fac = cpqr(a)
-        rel = np.linalg.norm(a[:, fac.perm] - fac.q @ fac.r) / np.linalg.norm(a)
-        assert rel <= 1e-10
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            cpqr(np.ones(4))
-        with pytest.raises(ValueError):
-            cpqr(np.array([[1.0, np.nan]]))
-
-    @given(
-        m=st.integers(1, 30),
-        n=st.integers(1, 30),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_fuzzed_reconstruction(self, m, n, seed):
-        a = np.random.default_rng(seed).normal(size=(m, n))
-        fac = cpqr(a)
-        rel = np.linalg.norm(a[:, fac.perm] - fac.q @ fac.r) / max(np.linalg.norm(a), 1e-300)
-        assert rel <= 1e-10
+def _pivoted_r(a):
+    return scipy.linalg.qr(a, mode="r", pivoting=True)[0]
 
 
 class TestNumericalRank:
@@ -76,57 +18,13 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((0, 0))) == 0
 
     def test_full_rank(self):
-        fac = cpqr(np.random.default_rng(7).normal(size=(10, 6)))
-        assert numerical_rank(fac.r) == 6
+        assert numerical_rank(_pivoted_r(np.random.default_rng(7).normal(size=(10, 6)))) == 6
 
-
-class TestSolveLeastSquares:
-    def test_square_invertible_equals_inverse(self):
-        rng = np.random.default_rng(11)
-        c = rng.normal(size=(4, 4))
-        a = rng.normal(size=(4, 3))
-        w = solve_least_squares(c, a)
-        npt.assert_allclose(w, np.linalg.solve(c, a), atol=1e-10)
-
-    def test_consistent_system_recovers_weights(self):
-        rng = np.random.default_rng(13)
-        c = rng.normal(size=(12, 4))
-        w0 = rng.uniform(-1.0, 1.0, size=(4, 7))
-        w = solve_least_squares(c, c @ w0)
-        npt.assert_allclose(w, w0, atol=1e-10)
-
-    def test_residual_orthogonal_to_column_space(self):
-        rng = np.random.default_rng(17)
-        c = rng.normal(size=(30, 5))
-        a = rng.normal(size=(30, 8))
-        w = solve_least_squares(c, a)
-        npt.assert_allclose(c.T @ (a - c @ w), 0.0, atol=1e-8)
-
-    def test_matches_lstsq_oracle(self):
-        rng = np.random.default_rng(19)
-        c = rng.normal(size=(25, 6))
-        a = rng.normal(size=(25, 4))
-        ref = np.linalg.lstsq(c, a, rcond=None)[0]
-        npt.assert_allclose(solve_least_squares(c, a), ref, atol=1e-8)
-
-    def test_objective_locally_optimal(self):
-        rng = np.random.default_rng(23)
-        c = rng.normal(size=(15, 4))
-        a = rng.normal(size=(15, 6))
-        w = solve_least_squares(c, a)
-        best = np.sum((a - c @ w) ** 2)
-        for _ in range(100):
-            perturbed = w + rng.normal(0.0, 1e-3, size=w.shape)
-            assert np.sum((a - c @ perturbed) ** 2) >= best - 1e-12
-
-    def test_rank_deficient_raises_with_rank(self):
-        rng = np.random.default_rng(29)
-        col = rng.normal(size=(10, 1))
-        c = np.concatenate([col, 2.0 * col, rng.normal(size=(10, 1))], axis=1)
-        with pytest.raises(RankDeficiencyError) as err:
-            solve_least_squares(c, rng.normal(size=(10, 2)))
-        assert err.value.rank == 2
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_least_squares(np.ones((3, 2)), np.ones((4, 2)))
+    def test_rank_one_outer_product(self):
+        u = np.arange(1.0, 6.0)
+        v = np.array([2.0, -1.0, 0.5, 3.0])
+        r = _pivoted_r(np.outer(u, v))
+        diag = np.abs(np.diag(r))
+        assert diag[0] > 0
+        assert np.all(diag[1:] <= 1e-12)
+        assert numerical_rank(r) == 1

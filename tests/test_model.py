@@ -84,6 +84,24 @@ class TestObservedMatrix:
         with pytest.raises(ValueError):
             ObservedMatrix.fully_observed([1.0, 2.0])
 
+    @pytest.mark.parametrize("row", [0, 150, 299])
+    def test_rejects_nonzero_unobserved_in_any_row_block(self, row):
+        # 300 rows of 200 span several of the blocks the check reads at a time
+        mask = np.ones((300, 200), dtype=bool)
+        mask[row, 7] = False
+        values = np.ones((300, 200))
+        with pytest.raises(ValueError, match="stored as 0"):
+            ObservedMatrix(values=values, mask=mask)
+        values[row, 7] = -0.0
+        ObservedMatrix(values=values, mask=mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_nan_and_infinity_anywhere(self, bad):
+        values = np.zeros((300, 200))
+        values[299, 199] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservedMatrix(values=values, mask=np.zeros((300, 200), dtype=bool))
+
 
 class TestInitState:
     def test_k_equals_n_keeps_everything(self):

@@ -67,6 +67,36 @@ class TestRandomizedId:
             randomized_id(a, 2, np.random.default_rng(0), oversample=1.0)
         assert exc.value.rank == 1
 
+    def test_residual_orthogonal_to_basis_span(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(30, 12))
+        res = randomized_id(a, 5, rng)
+        npt.assert_allclose(res.c.T @ (a - res.c @ res.w), 0.0, atol=1e-8)
+
+    def test_weights_locally_optimal(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(15, 9))
+        res = randomized_id(a, 4, rng)
+        best = np.sum((a - res.c @ res.w) ** 2)
+        for _ in range(100):
+            perturbed = res.w + rng.normal(0.0, 1e-3, size=res.w.shape)
+            assert np.sum((a - res.c @ perturbed) ** 2) >= best - 1e-12
+
+    def test_rank_deficient_sample_reports_its_rank(self):
+        # six columns spanning a plane; the whole sample is rank 2 below k = 3
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 6))
+        with pytest.raises(RankDeficiencyError) as exc:
+            randomized_id(a, 3, np.random.default_rng(0), oversample=2.0)
+        assert exc.value.rank == 2
+
+    def test_nan_outside_the_sample_rejected(self):
+        a = np.random.default_rng(41).normal(size=(8, 10))
+        sampled = np.random.default_rng(3).choice(10, size=2, replace=False)
+        a[4, np.setdiff1d(np.arange(10), sampled)[0]] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            randomized_id(a, 2, np.random.default_rng(3), oversample=1.0)
+
     @pytest.mark.parametrize("k", [0, 8])
     def test_k_out_of_range(self, k):
         a = np.ones((4, 7))
