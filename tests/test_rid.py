@@ -35,6 +35,23 @@ class TestRandomizedId:
         ref, *_ = np.linalg.lstsq(res.c, a, rcond=None)
         npt.assert_allclose(res.w, ref, atol=1e-8)
 
+    def test_consistent_system_recovers_weights(self):
+        # A = C0 [I, W0] has rank 4, so whichever four columns the pivots
+        # pick, C = C0 M with M = [I, W0][:, j_set] and W = M^-1 [I, W0]
+        rng = np.random.default_rng(13)
+        c0 = rng.normal(size=(12, 4))
+        coeffs = np.concatenate([np.eye(4), rng.uniform(-1.0, 1.0, size=(4, 7))], axis=1)
+        res = randomized_id(c0 @ coeffs, 4, rng, oversample=11 / 4)
+        npt.assert_allclose(res.w, np.linalg.solve(coeffs[:, res.j_set], coeffs), atol=1e-10)
+
+    def test_matches_lstsq_oracle(self):
+        # a sample of exactly k columns: the pivots only reorder it
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(25, 10))
+        res = randomized_id(a, 6, rng, oversample=1.0)
+        ref = np.linalg.lstsq(res.c, a, rcond=None)[0]
+        npt.assert_allclose(res.w, ref, atol=1e-8)
+
     def test_unbounded_weights_on_adversarial_columns(self):
         # seed 1 makes the uniform draw pick the two orthogonal columns, so
         # the third column needs a weight of exactly 1.5
