@@ -367,8 +367,7 @@ def cmd_diagnose(args) -> int:
         if rho is None:
             lines.append(f"probe_{name}=degenerate")
         else:
-            tail = np.abs(rho[diagnostics.MIXING_LAG_THRESHOLD + 1:])
-            worst = float(tail.max()) if tail.size else 0.0
+            worst = diagnostics.tail_autocorrelation(rho)
             lines.append(f"probe_{name}=max_abs_autocorr_beyond_lag10:{worst:.17g}")
 
     if args.out is not None:

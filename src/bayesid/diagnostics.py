@@ -128,19 +128,23 @@ class RunReport:
     mixing: str
 
 
+def tail_autocorrelation(rho: np.ndarray) -> float:
+    """Largest |autocorrelation| beyond lag 10 (the lag threshold); 0 when rho stops there."""
+    tail = np.abs(rho[MIXING_LAG_THRESHOLD + 1:])
+    return float(tail.max()) if tail.size else 0.0
+
+
 def mixing_verdict(autocorrelations: dict) -> str:
     """"good" when every probe chain decorrelates beyond the lag threshold.
 
     Degenerate probes (no variation) make the verdict "degenerate"; any
-    probe with |autocorrelation| at or above the threshold past lag 10
-    makes it "poor".
+    probe whose ``tail_autocorrelation`` is at or above the coefficient
+    threshold makes it "poor".
     """
     if any(rho is None for rho in autocorrelations.values()):
         return "degenerate"
-    for rho in autocorrelations.values():
-        tail = rho[MIXING_LAG_THRESHOLD + 1 :]
-        if tail.size and np.max(np.abs(tail)) >= MIXING_COEFF_THRESHOLD:
-            return "poor"
+    if any(tail_autocorrelation(rho) >= MIXING_COEFF_THRESHOLD for rho in autocorrelations.values()):
+        return "poor"
     return "good"
 
 

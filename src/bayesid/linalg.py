@@ -1,18 +1,21 @@
 """Dominant column sets from column-pivoted QR, and the numerical rank of
 a pivoted R factor.
 
-The dominant column set reads only the first K pivots, so it runs K steps
-of a left-looking pivoted QR instead of LAPACK geqp3 on all of A: the same
-max-residual-norm pivots and norm-downdate safeguard, in O(KMN) time and
-O(K(M + N)) memory, with no copy of A. When the leading K columns are
-numerically rank deficient, those pivots are set by rounding, and geqp3's
-are used as before.
+The dominant column set reads only the first K pivots, so it runs at most
+K steps of a left-looking pivoted QR instead of LAPACK geqp3 on all of A:
+the same max-residual-norm pivots and norm-downdate safeguard, in O(KMN)
+time and O(K(M + N)) memory, with no copy of A, on every input. When the
+leading K columns are numerically rank deficient the factorization stops
+at the numerical rank, and the remaining slots hold columns that only
+rounding would rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from .errors import NumericalError
 
 # Weights this close above 1 come from rounding (duplicated columns give
 # exactly 1), and exchanging them would not grow the volume.
@@ -27,19 +30,18 @@ def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # min and max meet any nan or infinity without an M x N temporary
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
-def numerical_rank(r: np.ndarray, rtol: float | None = None) -> int:
-    """Rank estimate from the diagonal of a pivoted R factor."""
+def numerical_rank(r: np.ndarray) -> int:
+    """Rank estimate from the diagonal of a pivoted R factor, at max(r.shape) eps."""
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return 0
-    if rtol is None:
-        rtol = max(r.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(diag > rtol * diag[0]))
+    return int(np.count_nonzero(diag > max(r.shape) * np.finfo(float).eps * diag[0]))
 
 
 def _truncated_cpqr(a: np.ndarray, k: int):
@@ -54,23 +56,26 @@ def _truncated_cpqr(a: np.ndarray, k: int):
     the data, by dlaqp2's rule (Drmac and Bujanovic, LAWN 176, 2008).
     Costs O(kmn) time and O(k(m + n)) memory beyond a.
 
-    Returns (perm, r): perm is the column order after k swaps and r the
-    k x n rows of R in that order. Returns None when k > m or some
-    |r_tt| <= n eps |r_00|, where the leading k columns are numerically
-    rank deficient, and when a squared column norm overflows.
+    Stops at the first step t whose residual is numerically zero, |r_tt| <=
+    n eps |r_00| (every step t >= m, and step 0 of an all-zero a): a then
+    has numerical rank t, and positions t..k-1 of perm hold columns that
+    only rounding would rank. Returns (perm, r): perm is the column order
+    after the swaps made, and r the rows of R in that order, one per step
+    before the stop, so r has k rows exactly when the leading k columns
+    have full numerical rank. Raises NumericalError when a squared column
+    norm overflows.
     """
     m, n = a.shape
-    if k > m:
-        return None
     norms2 = np.einsum("ij,ij->j", a, a)
     if not np.isfinite(norms2.max()):
-        return None
+        raise NumericalError("squared column norms overflow; rescale the data")
     computed2 = norms2.copy()  # each squared norm when last computed from the data
     perm = np.arange(n)
-    q = np.empty((k, m))
-    r = np.empty((k, n))
+    steps = min(k, m)
+    q = np.empty((steps, m))
+    r = np.empty((steps, n))
     rank_tol = n * np.finfo(float).eps
-    for t in range(k):
+    for t in range(steps):
         p = t + int(np.argmax(norms2[perm[t:]]))
         perm[t], perm[p] = perm[p], perm[t]
         v = a[:, perm[t]] - r[:t, perm[t]] @ q[:t]
@@ -79,10 +84,11 @@ def _truncated_cpqr(a: np.ndarray, k: int):
         if t == 0:
             r00 = rtt
         if not rtt > rank_tol * r00:
-            return None
+            steps = t
+            break
         q[t] = v / rtt
         r[t] = q[t] @ a
-        if t + 1 == k:
+        if t + 1 == steps:
             break
         rest = perm[t + 1:]
         norms2[rest] = np.maximum(norms2[rest] - r[t, rest] ** 2, 0.0)
@@ -91,21 +97,9 @@ def _truncated_cpqr(a: np.ndarray, k: int):
             cols = stale[lo:lo + k]
             resid = a[:, cols] - q[:t + 1].T @ r[:t + 1, cols]
             norms2[cols] = computed2[cols] = np.einsum("ij,ij->j", resid, resid)
-    r = r[:, perm]
-    r[:, :k] = np.triu(r[:, :k])
+    r = r[:steps, perm]
+    r[:, :steps] = np.triu(r[:, :steps])
     return perm, r
-
-
-def _geqp3_rows(a: np.ndarray, k: int):
-    """Full column-pivoted QR by LAPACK geqp3: (perm, first k rows of R)."""
-    # a private Fortran copy, so neither Q nor a second m x n R is formed
-    fac = np.array(a, order="F")
-    geqp3 = scipy.linalg.get_lapack_funcs("geqp3", (fac,))
-    lwork = int(geqp3(fac, lwork=-1)[3][0])
-    fac, perm, _, _, info = geqp3(fac, lwork=lwork, overwrite_a=True)
-    if info != 0:
-        raise ValueError(f"LAPACK geqp3 failed with info={info}")
-    return perm - 1, np.triu(fac[:k])
 
 
 def dominant_fit(a, k: int):
@@ -119,27 +113,27 @@ def dominant_fit(a, k: int):
     exchange it fits the columns' projections onto the span of the
     leading pivots. w is None when the weights are not defined.
 
-    Starts from the first k pivots of a column-pivoted QR, found by k
-    steps of a truncated, left-looking pivoted QR (``_truncated_cpqr``):
-    O(kmn) time, O(k(m + n)) memory, and no copy of a. It then makes
-    volume-increasing exchanges (Goreinov et al., "How to find a good
-    submatrix", 2010): while some column needs a weight of magnitude above
-    1 on the chosen set, the largest such pair is swapped in. The weights
-    W = R11^-1 R[:k] come from the k x n R alone, with no Q, and follow
-    each exchange by a rank-1 update. At most 4k exchanges are made. When
-    the leading k columns are numerically rank deficient (k above m or
-    above the rank of a) the truncated pivots are not reliable, so a full
-    LAPACK geqp3 runs instead; if its leading k pivots are rank deficient
-    too, the weights are not defined and those pivots are returned as they
-    are, with w None. No random numbers are drawn.
+    Starts from the first k pivots of a column-pivoted QR, found by at
+    most k steps of a truncated, left-looking pivoted QR
+    (``_truncated_cpqr``): O(kmn) time, O(k(m + n)) memory, and no copy of
+    a, on every input. It then makes volume-increasing exchanges (Goreinov
+    et al., "How to find a good submatrix", 2010): while some column needs
+    a weight of magnitude above 1 on the chosen set, the largest such pair
+    is swapped in. The weights W = R11^-1 R[:k] come from the k x n R
+    alone, with no Q, and follow each exchange by a rank-1 update. At most
+    4k exchanges are made. When k exceeds the numerical rank of a (k above
+    m included, and every k on an all-zero a), w is None, and the set
+    holds the pivots up to that rank and then the next columns of the
+    pivot order, which only rounding would rank. No random numbers are
+    drawn. Raises NumericalError when a squared column norm overflows.
     """
     a = _as_matrix(a)
     n = a.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    perm, r_top = _truncated_cpqr(a, k) or _geqp3_rows(a, k)
+    perm, r_top = _truncated_cpqr(a, k)
     chosen = perm[:k].copy()
-    if numerical_rank(r_top) < k:
+    if r_top.shape[0] < k:
         return np.sort(chosen), None
 
     w = np.empty((k, n))

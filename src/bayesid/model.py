@@ -231,20 +231,21 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
 
     The basis is a dominant K-column set of the zero-filled data
     (``linalg.dominant_fit``), in ascending order: the first K pivots of a
-    column-pivoted QR, from K steps of a truncated pivoted QR in O(KMN)
-    time and O(K(M + N)) memory (a full geqp3 when the leading K columns
-    are rank deficient), exchanged until every column's least-squares
-    weights on the set lie in [-1, 1]. On noise-free data of rank K such a
-    set gives an exact decomposition inside the default weight bounds. The
-    choice draws no random numbers.
+    column-pivoted QR, from at most K steps of a truncated pivoted QR in
+    O(KMN) time and O(K(M + N)) memory with no copy of the data, exchanged
+    until every column's least-squares weights on the set lie in [-1, 1].
+    On noise-free data of rank K such a set gives an exact decomposition
+    inside the default weight bounds. The choice draws no random numbers;
+    data whose squared column norms overflow raise NumericalError.
 
     Y_J starts at the weights W that ``dominant_fit`` forms on the set
     (the least-squares fit when no exchange was made), clipped to [a, b],
     so the chain starts at the fit instead of spending its first
     iterations on a transient from a prior draw. Under gbtn the K x N
     prior means and precisions are still drawn from the hyper-prior. Only
-    where the leading pivots are rank deficient, and W is not defined, is
-    Y_J drawn from the joint prior (``sample_prior_rows``). The noise
+    where K exceeds the numerical rank, and W is not defined, is Y_J drawn
+    from the joint prior (``sample_prior_rows``); the set then holds the
+    pivots up to that rank and the next columns of the pivot order. The noise
     variance is the start fit's mean squared residual over all M x N
     entries, floored at 1e-6; it is computed from the Gram statistics,
     without an M x N temporary, and those statistics stay on the state for

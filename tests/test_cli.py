@@ -274,7 +274,7 @@ class TestErrorExits:
             assert not out.exists(), argv
 
     # numpy warnings would reach stderr only outside pytest's warning capture,
-    # so these two run the CLI as a process
+    # so these three run the CLI as a process
     def test_undo_log_overflow_prints_one_error_line(self, tmp_path):
         src = tmp_path / "big.csv"
         src.write_text("1000,1,2\n3,4,5\n6,7,8\n")
@@ -284,6 +284,18 @@ class TestErrorExits:
         assert proc.returncode == 3
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: input: preprocessing produced non-finite values")
+        assert not out.exists()
+
+    def test_overflowing_gibbs_start_prints_one_error_line(self, tmp_path):
+        src = tmp_path / "huge.csv"
+        huge = np.random.default_rng(53).normal(size=(12, 9)) * 2.0**700
+        save_matrix(src, ObservedMatrix.fully_observed(huge))
+        out = tmp_path / "o"
+        proc = _run_process("decompose", str(src), "--out", str(out), "--method", "gbt", "--k", "4",
+                            "--iterations", "10", "--burn-in", "2", "--no-cap", "--no-standardize")
+        assert proc.returncode == 4
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: numerical: squared column norms overflow")
         assert not out.exists()
 
     def test_column_without_observed_entries_prints_nothing_on_stderr(self, tmp_path):

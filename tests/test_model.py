@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 from bayesid import linalg
-from bayesid.errors import ConfigurationError
-from bayesid.linalg import dominant_fit
+from bayesid.errors import ConfigurationError, NumericalError
+from bayesid.linalg import dominant_fit, numerical_rank
 from bayesid.model import (
     Hyperparameters,
     ObservedMatrix,
@@ -216,6 +216,20 @@ class TestInitState:
             tracemalloc.stop()
         assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
 
+    def test_rank_deficient_start_does_not_allocate_an_m_by_n_array(self):
+        m, n = 400, 300
+        rng = np.random.default_rng(19)
+        data = ObservedMatrix.fully_observed(rng.normal(size=(m, 5)) @ rng.normal(size=(5, n)))
+        tracemalloc.start()
+        try:
+            state = init_state(data, Hyperparameters(k=10), np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dominant_fit(data.values, 10)[1] is None, "the start fit should be undefined here"
+        assert state.j.size == 10
+        assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
+
     def test_index_properties_partition(self):
         rng = np.random.default_rng(13)
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 7)))
@@ -251,12 +265,28 @@ class TestDominantStart:
         for c in chosen[1:]:
             npt.assert_array_equal(c, chosen[0])
 
+    @staticmethod
+    def _assert_rank_deficient_start(a, k):
+        """K distinct ascending columns, no weights, and geqp3's numerically independent pivots."""
+        columns, w = dominant_fit(a, k)
+        assert w is None
+        assert columns.shape == (k,)
+        assert np.all(np.diff(columns) > 0), columns
+        r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
+        rank = numerical_rank(r)
+        assert rank < k
+        assert np.all(np.isin(perm[:rank], columns)), (perm[:rank], columns)
+        # the factorization stops at that rank, with geqp3's pivots in order
+        fac_perm, fac_r = linalg._truncated_cpqr(a, k)
+        assert fac_r.shape[0] == rank
+        npt.assert_array_equal(fac_perm[:rank], perm[:rank])
+        return columns
+
     def test_pivots_unchanged_when_k_exceeds_rank(self):
         a = self._rank_k(5, k=3)
-        perm = scipy.linalg.qr(a, pivoting=True)[2]
-        npt.assert_array_equal(dominant_fit(a, 6)[0], np.sort(perm[:6]))
+        columns = self._assert_rank_deficient_start(a, 6)
         state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=6), np.random.default_rng(1))
-        npt.assert_array_equal(state.basis_indices, np.sort(perm[:6]))
+        npt.assert_array_equal(state.basis_indices, columns)
 
     def test_pivots_unchanged_when_trailing_pivots_are_exactly_zero(self):
         a = np.zeros((8, 7))
@@ -312,7 +342,9 @@ class TestDominantStart:
     def test_start_set_matches_the_full_geqp3_start(self, monkeypatch):
         a = duplicated_id_matrix(100, 25, 5, np.random.default_rng(41), noise=0.05)
         chosen = dominant_fit(a, 10)[0]
-        monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: None)
+        # the exchanges run from the pivots and R rows of a full geqp3 instead
+        r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
+        monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: (perm, r[:k]))
         npt.assert_array_equal(chosen, dominant_fit(a, 10)[0])
 
     def test_does_not_copy_the_matrix(self):
@@ -326,6 +358,21 @@ class TestDominantStart:
             tracemalloc.stop()
         assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
 
+    @pytest.mark.parametrize("case", ["rank-5", "all-zero"])
+    def test_rank_deficient_start_does_not_copy_the_matrix(self, case):
+        m, n, k = 400, 300, 10
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(m, 5)) @ rng.normal(size=(5, n)) if case == "rank-5" else np.zeros((m, n))
+        tracemalloc.start()
+        try:
+            w = dominant_fit(a, k)[1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w is None
+        assert peak < 0.5 * m * n * 8, f"peak {peak} bytes, half an M x N array is {0.5 * m * n * 8}"
+
+    # the leading k columns are rank deficient in every case but k-equals-cols
     @pytest.mark.parametrize("case", ["k-above-rows", "k-equals-cols", "all-zero", "one-nonzero-column"])
     def test_fallback_edges_return_geqp3_pivots(self, case):
         rng = np.random.default_rng(47)
@@ -338,17 +385,20 @@ class TestDominantStart:
         else:
             a, k = np.zeros((6, 5)), 2
             a[:, 3] = rng.normal(size=6)
-        # k = n at full rank stays on the truncated path: every column is chosen either way
-        if case != "k-equals-cols":
-            assert linalg._truncated_cpqr(a, k) is None
-        perm = scipy.linalg.qr(a, pivoting=True)[2]
-        npt.assert_array_equal(dominant_fit(a, k)[0], np.sort(perm[:k]))
+        if case == "k-equals-cols":
+            # every column is chosen, and the weights are the identity
+            columns, w = dominant_fit(a, k)
+            npt.assert_array_equal(columns, np.arange(k))
+            npt.assert_allclose(w, np.eye(k), atol=1e-12)
+            return
+        columns = self._assert_rank_deficient_start(a, k)
+        if case == "one-nonzero-column":
+            assert 3 in columns
 
-    def test_overflowing_norms_fall_back_to_geqp3(self):
-        a = np.random.default_rng(53).normal(size=(12, 9))
-        huge = a * 2.0**700  # exact scaling whose squared norms overflow
-        assert linalg._truncated_cpqr(huge, 4) is None
-        npt.assert_array_equal(dominant_fit(huge, 4)[0], dominant_fit(a, 4)[0])
+    def test_overflowing_norms_raise_numerical_error(self):
+        huge = np.random.default_rng(53).normal(size=(12, 9)) * 2.0**700  # squared norms overflow
+        with pytest.raises(NumericalError, match="squared column norms overflow"):
+            dominant_fit(huge, 4)
 
 
 class TestRebuildAndValidate:

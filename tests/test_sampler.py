@@ -8,6 +8,7 @@ at K = 1 against the exact posterior computed by quadrature.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -664,6 +665,16 @@ class TestRunGibbs:
             assert np.all(chain >= -1.0) and np.all(chain <= 1.0)
         assert np.all(trace.mse_per_iter >= 0.0)
         assert trace.accepted_swaps >= 0
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    def test_overflowing_input_raises_before_any_warning(self, variant):
+        # G = C^T C would overflow on such input; the start refuses it first
+        huge = np.random.default_rng(53).normal(size=(12, 9)) * 2.0**700
+        hp = Hyperparameters(k=4, iterations=10, burn_in=2, variant=variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="squared column norms overflow"):
+                run_gibbs(ObservedMatrix.fully_observed(huge), hp, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         data = ObservedMatrix.fully_observed(np.random.default_rng(179).normal(size=(10, 7)))
