@@ -26,7 +26,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .io import PreprocessConfig, load_matrix, preprocess, save_matrix
-from .model import Hyperparameters, IdState, ObservedMatrix, init_state
+from .model import Hyperparameters, IdState, ObservedMatrix
 from .postprocess import CanonicalId, extract_canonical
 from .rid import RidResult, max_magnitude_excess, randomized_id
 from .sampler import GibbsTrace, run_gibbs
@@ -53,7 +53,6 @@ __all__ = [
     "autocorrelation",
     "build_run_report",
     "extract_canonical",
-    "init_state",
     "iterations_to_plateau",
     "load_matrix",
     "max_magnitude_excess",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import build_run_report, kept_iterations
+from .diagnostics import build_run_report, posterior_mean_mse
 from .errors import BayesidError, ConfigurationError, InputError, NumericalError
 from .io import (
     PreprocessConfig,
@@ -294,9 +294,10 @@ def cmd_benchmark(args) -> int:
                     cell = {key: result[key] for key in _CELL_KEYS}
                     if trace is not None:
                         # gbt cells are posterior means over the kept iterations
-                        keep = kept_iterations(args.iterations, args.burn_in, args.thinning)
                         cell["mse"] = result["mse_posterior_mean"]
-                        cell["mse_observed"] = float(np.mean(trace.mse_observed_per_iter[keep]))
+                        cell["mse_observed"] = posterior_mean_mse(
+                            trace.mse_observed_per_iter, args.burn_in, args.thinning
+                        )
                     status = "ok"
                 except BayesidError as exc:
                     cell = dict.fromkeys(_CELL_KEYS)

@@ -93,21 +93,20 @@ def posterior_mean_mse(mse_per_iter, burn_in: int, thinning: int) -> float:
     return float(mse_per_iter[keep].mean())
 
 
-def iterations_to_plateau(
-    mse_per_iter, tol: float = PLATEAU_TOL, window: int = PLATEAU_WINDOW
-) -> int | None:
-    """First iteration after which the relative MSE change stays below tol.
+def iterations_to_plateau(mse_per_iter) -> int | None:
+    """First iteration after which the relative MSE change stays below PLATEAU_TOL.
 
     Returns the smallest 1-based iteration p such that every change into
-    iterations p+1 .. p+window is below tol relative to the previous value,
-    or None if the trace never settles (or is too short to tell).
+    iterations p+1 .. p+PLATEAU_WINDOW is below PLATEAU_TOL relative to the
+    previous value, or None if the trace never settles (or is too short to
+    tell).
     """
     m = np.asarray(mse_per_iter, dtype=float)
-    if m.size < window + 1:
+    if m.size < PLATEAU_WINDOW + 1:
         return None
     denom = np.maximum(np.abs(m[:-1]), np.finfo(float).tiny)
-    good = np.abs(np.diff(m)) / denom < tol
-    ok = sliding_window_view(good, window).all(axis=1)
+    good = np.abs(np.diff(m)) / denom < PLATEAU_TOL
+    ok = sliding_window_view(good, PLATEAU_WINDOW).all(axis=1)
     hits = np.flatnonzero(ok)
     return int(hits[0]) + 1 if hits.size else None
 

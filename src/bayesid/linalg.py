@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 
 # Weights this close above 1 come from rounding (duplicated columns give
 # exactly 1), and exchanging them would not grow the volume.
@@ -125,12 +125,13 @@ def dominant_fit(a, k: int):
     m included, and every k on an all-zero a), w is None, and the set
     holds the pivots up to that rank and then the next columns of the
     pivot order, which only rounding would rank. No random numbers are
-    drawn. Raises NumericalError when a squared column norm overflows.
+    drawn. Raises ConfigurationError when k lies outside [1, n], and
+    NumericalError when a squared column norm overflows.
     """
     a = _as_matrix(a)
     n = a.shape[1]
     if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+        raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     perm, r_top = _truncated_cpqr(a, k)
     chosen = perm[:k].copy()
     if r_top.shape[0] < k:

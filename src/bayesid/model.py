@@ -10,12 +10,13 @@ move that needs one (the incoming row of a column swap) draws it from
 its prior when it needs it. The weight prior is GTN(gtn_mu, gtn_tau) on
 [a, b]: under gbt one fixed pair for every entry, held as two 0-d arrays
 that broadcast against Y_J; under gbtn one pair per entry, held K x N.
-State memory is O(KN).
+State memory is O(KN). The Gram statistics the sampler keeps are not part
+of the state: ``init_state`` returns them beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,11 +130,6 @@ class IdState:
     prior arrays ``gtn_mu`` and ``gtn_tau`` broadcast against ``y``: 0-d
     under gbt, K x N under gbtn with rows following the slots; read entry
     (s, l) through ``np.broadcast_to(gtn_mu, y.shape)``.
-
-    ``_start_statistics`` is set by ``init_state`` and taken by the sampler
-    (``sampler._take_start_statistics``): the data array, J, ||A||^2, G and
-    P that ``init_state`` formed to set the noise variance, so the sampler
-    does not form them again. It is not part of the model.
     """
 
     j: np.ndarray
@@ -141,7 +137,6 @@ class IdState:
     sigma2: float
     gtn_mu: np.ndarray
     gtn_tau: np.ndarray
-    _start_statistics: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def basis_indices(self) -> np.ndarray:
@@ -226,7 +221,9 @@ def sample_prior_rows(hp: Hyperparameters, count: int, n: int, rng: np.random.Ge
     return y, gtn_mu, gtn_tau
 
 
-def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator) -> IdState:
+def init_state(
+    data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generator
+) -> tuple[IdState, float, np.ndarray, np.ndarray]:
     """Build the initial state: a dominant column set and its clipped least-squares fit.
 
     The basis is a dominant K-column set of the zero-filled data
@@ -236,7 +233,8 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     until every column's least-squares weights on the set lie in [-1, 1].
     On noise-free data of rank K such a set gives an exact decomposition
     inside the default weight bounds. The choice draws no random numbers;
-    data whose squared column norms overflow raise NumericalError.
+    K outside [1, N] raises ConfigurationError, and data whose squared
+    column norms overflow raise NumericalError.
 
     Y_J starts at the weights W that ``dominant_fit`` forms on the set
     (the least-squares fit when no exchange was made), clipped to [a, b],
@@ -247,14 +245,13 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     from the joint prior (``sample_prior_rows``); the set then holds the
     pivots up to that rank and the next columns of the pivot order. The noise
     variance is the start fit's mean squared residual over all M x N
-    entries, floored at 1e-6; it is computed from the Gram statistics,
-    without an M x N temporary, and those statistics stay on the state for
-    ``run_gibbs`` to take.
+    entries, floored at 1e-6, computed without an M x N temporary from
+    ||A||^2 and the Gram statistics G = C^T C and P = C^T A of the basis.
+
+    Returns (state, a_sq, gram, proj): the state and those three, which
+    ``run_gibbs`` keeps current from there.
     """
     n = data.shape[1]
-    if hp.k > n:
-        raise ConfigurationError(f"k={hp.k} exceeds the column count {n}")
-
     j, w = dominant_fit(data.values, hp.k)
     j = j.astype(np.intp)
     if w is None:
@@ -267,9 +264,7 @@ def init_state(data: ObservedMatrix, hp: Hyperparameters, rng: np.random.Generat
     gram, proj = gram_statistics(data.values, j)
     sigma2 = max(gram_rss(a_sq, y, gram, proj) / data.values.size, _SIGMA2_FLOOR)
 
-    state = IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
-    state._start_statistics = (data.values, j.copy(), a_sq, gram, proj)
-    return state
+    return IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau), a_sq, gram, proj
 
 
 def validate_state(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> None:

@@ -233,8 +233,8 @@ def sample_state_vector(
     data: ObservedMatrix,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    gram: np.ndarray | None = None,
-    proj: np.ndarray | None = None,
+    gram: np.ndarray,
+    proj: np.ndarray,
     debug_checks: bool = False,
 ) -> bool:
     """One uniform (slot, column) swap proposal, accepted with odds/(1 + odds).
@@ -247,8 +247,8 @@ def sample_state_vector(
     is the same law as redrawing every such row each sweep. On acceptance
     the incoming column and its row take slot s; the outgoing row and, under
     gbtn, its (mu, tau) are discarded, since a column that re-enters later
-    draws a fresh row. When ``gram`` and ``proj`` are passed, slot s of them
-    is recomputed on acceptance, so callers can keep them current.
+    draws a fresh row, and slot s of the caller's G (``gram``) and P
+    (``proj``) is recomputed from the data, so they stay current.
 
     Returns whether the swap was accepted. With K = N there is nothing to
     swap, no random number is drawn and the state is returned unchanged.
@@ -273,8 +273,7 @@ def sample_state_vector(
         if np.ndim(state.gtn_mu):
             state.gtn_mu[s] = mu_in
             state.gtn_tau[s] = tau_in
-        if gram is not None:
-            _refresh_gram_slot(data.values, state.j, s, gram, proj)
+        _refresh_gram_slot(data.values, state.j, s, gram, proj)
     return accept
 
 
@@ -420,12 +419,6 @@ def _choose_probes(k: int, n: int, rng: np.random.Generator) -> list[tuple[int, 
     return [(int(f) // n, int(f) % n) for f in flat]
 
 
-def _check_probes(probes, k: int, n: int) -> None:
-    for s, l in probes:
-        if not (0 <= s < k and 0 <= l < n):
-            raise ConfigurationError(f"probe position ({s}, {l}) lies outside the {k} x {n} weights Y_J")
-
-
 def _check_data(data: ObservedMatrix) -> None:
     if not data.mask.any():
         raise InputError("matrix has no observed entries")
@@ -478,25 +471,19 @@ def run_gibbs(
     data: ObservedMatrix,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    probe_positions: list[tuple[int, int]] | None = None,
     debug_checks: bool = False,
 ) -> tuple[IdState, GibbsTrace]:
     """Run the sampler of ``hp.variant`` and return the final state plus its trace.
 
-    ``probe_positions`` are (slot, column) positions of Y_J, in [0, K) x
-    [0, N); by default five distinct ones are drawn uniformly. An entry
-    outside that range raises ConfigurationError before sampling.
+    The trace probes five distinct (slot, column) positions of Y_J, drawn
+    uniformly over K x N after the start (every position when Y_J has fewer
+    than five entries).
     """
     _check_data(data)
-    n = data.shape[1]
-    if probe_positions is not None:
-        _check_probes(probe_positions, hp.k, n)
-    state = init_state(data, hp, rng)
-    probes = probe_positions if probe_positions is not None else _choose_probes(hp.k, n, rng)
-    rec = _TraceRecorder(hp.iterations, probes, data)
+    state, a_sq, gram, proj = init_state(data, hp, rng)
+    rec = _TraceRecorder(hp.iterations, _choose_probes(hp.k, data.shape[1], rng), data)
 
     values = data.values
-    a_sq, gram, proj = _take_start_statistics(state, values)
     rss = gram_rss(a_sq, state.y, gram, proj)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(rss, data.shape, hp)
@@ -507,7 +494,7 @@ def run_gibbs(
         )
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
-        if sample_state_vector(state, data, hp, rng, gram=gram, proj=proj, debug_checks=debug_checks):
+        if sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=debug_checks):
             rec.swaps += 1
         rss = gram_rss(a_sq, state.y, gram, proj)
         rec.record(state, rss)
@@ -515,18 +502,6 @@ def run_gibbs(
             validate_state(state, data, hp)
             _check_gram_statistics(values, state, gram, proj, a_sq, rss)
     return state, rec.finish()
-
-
-def _take_start_statistics(state: IdState, values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """||A||^2, G and P of the state's basis, and the state lets go of them.
-
-    They are the ones ``init_state`` formed when it made this state from
-    ``values`` and J is unchanged since, else they are formed afresh.
-    """
-    saved, state._start_statistics = state._start_statistics, None
-    if saved is not None and saved[0] is values and np.array_equal(saved[1], state.j):
-        return saved[2:]
-    return float(np.einsum("ij,ij->", values, values)), *gram_statistics(values, state.j)
 
 
 def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyperparameters) -> GammaParams:

@@ -34,6 +34,6 @@ def frozen_state(m, n, k, rng, variant="gbt", sigma2=None):
     """A structurally valid sampler state over random data, for kernel tests."""
     data = ObservedMatrix.fully_observed(rng.normal(size=(m, n)))
     hp = Hyperparameters(k=k, variant=variant, iterations=10, burn_in=0, thinning=1)
-    state = init_state(data, hp, rng)
+    state = init_state(data, hp, rng)[0]
     state.sigma2 = float(rng.uniform(0.05, 2.0)) if sigma2 is None else sigma2
     return data, hp, state

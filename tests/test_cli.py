@@ -435,7 +435,8 @@ class TestBenchmark:
         assert by_key[("2", "gbt")][-1] == "ok"
         assert float(by_key[("2", "gbt")][5]) == 0.0  # weights stay bounded
         assert by_key[("999", "gbt")][2] == ""  # failed cell keeps numerics empty
-        assert by_key[("999", "gbt")][-1].startswith("config: ")
+        # both methods report the one k-range check in the same words
+        assert by_key[("999", "gbt")][-1] == "config: k must lie in [1, 20], got 999"
         assert by_key[("999", "rid")][-1] == "config: k must lie in [1, 20], got 999"
         timing_lines = (out / "timings.csv").read_text().strip().splitlines()
         assert timing_lines[0] == "k,method,seconds"

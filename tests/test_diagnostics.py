@@ -194,17 +194,17 @@ class TestPosteriorSummaries:
 class TestIterationsToPlateau:
     def test_settles_after_transient(self):
         series = np.concatenate([2.0 ** -np.arange(30), np.full(40, 2.0 ** -29)])
-        assert iterations_to_plateau(series, tol=0.1, window=10) == 30
+        assert iterations_to_plateau(series) == 30
 
     def test_never_settles(self):
         series = 2.0 ** -np.arange(60)
-        assert iterations_to_plateau(series, tol=0.1, window=10) is None
+        assert iterations_to_plateau(series) is None
 
     def test_too_short_for_window(self):
-        assert iterations_to_plateau(np.ones(5), tol=0.1, window=10) is None
+        assert iterations_to_plateau(np.ones(5)) is None
 
     def test_flat_from_the_start(self):
-        assert iterations_to_plateau(np.ones(50), tol=0.1, window=10) == 1
+        assert iterations_to_plateau(np.ones(50)) == 1
 
 
 class TestMixingVerdict:

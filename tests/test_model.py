@@ -107,7 +107,7 @@ class TestInitState:
     def test_k_equals_n_keeps_everything(self):
         rng = np.random.default_rng(0)
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 4)))
-        state = init_state(data, Hyperparameters(k=4), rng)
+        state = init_state(data, Hyperparameters(k=4), rng)[0]
         assert state.j.size == 4
         npt.assert_array_equal(state.basis_indices, np.arange(4))
         assert state.interpolated_indices.size == 0
@@ -115,7 +115,7 @@ class TestInitState:
     def test_k_one_of_three(self):
         rng = np.random.default_rng(1)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 3)))
-        state = init_state(data, Hyperparameters(k=1), rng)
+        state = init_state(data, Hyperparameters(k=1), rng)[0]
         assert state.j.size == 1
         assert state.interpolated_indices.size == 2
 
@@ -127,8 +127,8 @@ class TestInitState:
     def test_deterministic_given_seed(self):
         data = ObservedMatrix.fully_observed(np.random.default_rng(5).normal(size=(6, 5)))
         hp = Hyperparameters(k=2, variant="gbtn")
-        s1 = init_state(data, hp, np.random.default_rng(42))
-        s2 = init_state(data, hp, np.random.default_rng(42))
+        s1 = init_state(data, hp, np.random.default_rng(42))[0]
+        s2 = init_state(data, hp, np.random.default_rng(42))[0]
         npt.assert_array_equal(s1.j, s2.j)
         npt.assert_array_equal(s1.y, s2.y)
         npt.assert_array_equal(s1.gtn_mu, s2.gtn_mu)
@@ -138,20 +138,20 @@ class TestInitState:
     def test_weights_start_inside_bounds(self):
         rng = np.random.default_rng(9)
         data = ObservedMatrix.fully_observed(rng.normal(size=(8, 6)))
-        state = init_state(data, Hyperparameters(k=3), rng)
+        state = init_state(data, Hyperparameters(k=3), rng)[0]
         assert np.all(state.y >= -1.0) and np.all(state.y <= 1.0)
 
     def test_gbt_prior_arrays_fixed(self):
         rng = np.random.default_rng(10)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 4)))
-        state = init_state(data, Hyperparameters(k=2), rng)
+        state = init_state(data, Hyperparameters(k=2), rng)[0]
         npt.assert_array_equal(state.gtn_mu, np.zeros((4, 4)))
         npt.assert_array_equal(state.gtn_tau, np.ones((4, 4)))
 
     def test_gbtn_prior_arrays_drawn(self):
         rng = np.random.default_rng(11)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 4)))
-        state = init_state(data, Hyperparameters(k=2, variant="gbtn"), rng)
+        state = init_state(data, Hyperparameters(k=2, variant="gbtn"), rng)[0]
         assert not np.all(state.gtn_mu == 0.0)
         assert np.all(state.gtn_tau > 0.0)
         assert state.gtn_mu.std() > 0
@@ -160,14 +160,14 @@ class TestInitState:
         rng = np.random.default_rng(12)
         data = ObservedMatrix.fully_observed(rng.normal(size=(3, 3)))
         for _ in range(50):
-            state = init_state(data, Hyperparameters(k=1), rng)
+            state = init_state(data, Hyperparameters(k=1), rng)[0]
             assert state.sigma2 >= 1e-6
 
     def test_state_size_does_not_grow_with_rows(self):
         def state_bytes(m):
             rng = np.random.default_rng(14)
             data = ObservedMatrix.fully_observed(rng.normal(size=(m, 6)))
-            state = init_state(data, Hyperparameters(k=3), rng)
+            state = init_state(data, Hyperparameters(k=3), rng)[0]
             return sum(v.nbytes for v in vars(state).values() if isinstance(v, np.ndarray))
 
         assert state_bytes(10) == state_bytes(1000)
@@ -177,7 +177,7 @@ class TestInitState:
         rng = np.random.default_rng(15)
         data = ObservedMatrix.fully_observed(rng.normal(size=(12, 9)))
         hp = Hyperparameters(k=3, variant=variant, a=-0.5, b=0.5)
-        state = init_state(data, hp, np.random.default_rng(0))
+        state = init_state(data, hp, np.random.default_rng(0))[0]
         columns, w = dominant_fit(data.values, 3)
         npt.assert_array_equal(state.j, columns)
         npt.assert_array_equal(state.y, np.clip(w, -0.5, 0.5))
@@ -191,10 +191,10 @@ class TestInitState:
     def test_noise_variance_starts_at_the_fit_mean_square(self):
         rng = np.random.default_rng(16)
         data = ObservedMatrix.fully_observed(rng.normal(size=(10, 8)))
-        state = init_state(data, Hyperparameters(k=3), rng)
+        state = init_state(data, Hyperparameters(k=3), rng)[0]
         resid = data.values - data.values[:, state.j] @ state.y
         npt.assert_allclose(state.sigma2, np.mean(resid**2), rtol=1e-10)
-        exact = init_state(ObservedMatrix.fully_observed(data.values[:, :3]), Hyperparameters(k=3), rng)
+        exact = init_state(ObservedMatrix.fully_observed(data.values[:, :3]), Hyperparameters(k=3), rng)[0]
         assert exact.sigma2 == 1e-6
 
     def test_prior_draw_when_the_fit_is_undefined(self):
@@ -202,7 +202,7 @@ class TestInitState:
         a = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 6))
         assert dominant_fit(a, 4)[1] is None
         hp = Hyperparameters(k=4)
-        state = init_state(ObservedMatrix.fully_observed(a), hp, np.random.default_rng(0))
+        state = init_state(ObservedMatrix.fully_observed(a), hp, np.random.default_rng(0))[0]
         npt.assert_array_equal(state.y, sample_prior_rows(hp, 4, 6, np.random.default_rng(0))[0])
 
     def test_does_not_allocate_an_m_by_n_array(self):
@@ -222,7 +222,7 @@ class TestInitState:
         data = ObservedMatrix.fully_observed(rng.normal(size=(m, 5)) @ rng.normal(size=(5, n)))
         tracemalloc.start()
         try:
-            state = init_state(data, Hyperparameters(k=10), np.random.default_rng(0))
+            state = init_state(data, Hyperparameters(k=10), np.random.default_rng(0))[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,7 +233,7 @@ class TestInitState:
     def test_index_properties_partition(self):
         rng = np.random.default_rng(13)
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 7)))
-        state = init_state(data, Hyperparameters(k=3), rng)
+        state = init_state(data, Hyperparameters(k=3), rng)[0]
         merged = np.sort(np.concatenate([state.basis_indices, state.interpolated_indices]))
         npt.assert_array_equal(merged, np.arange(7))
 
@@ -255,13 +255,13 @@ class TestDominantStart:
         perm = scipy.linalg.qr(a, pivoting=True)[2]
         # the leading pivots alone need a weight above 1 here, so the exchanges matter
         assert self._max_lstsq_weight(a, perm[:4]) > 1.1
-        state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=4), np.random.default_rng(0))
+        state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=4), np.random.default_rng(0))[0]
         assert self._max_lstsq_weight(a, state.basis_indices) <= 1.0 + 1e-8
 
     def test_choice_does_not_depend_on_rng(self):
         data = ObservedMatrix.fully_observed(self._rank_k(3))
         hp = Hyperparameters(k=4, variant="gbtn")
-        chosen = [init_state(data, hp, np.random.default_rng(s)).basis_indices for s in range(5)]
+        chosen = [init_state(data, hp, np.random.default_rng(s))[0].basis_indices for s in range(5)]
         for c in chosen[1:]:
             npt.assert_array_equal(c, chosen[0])
 
@@ -285,7 +285,7 @@ class TestDominantStart:
     def test_pivots_unchanged_when_k_exceeds_rank(self):
         a = self._rank_k(5, k=3)
         columns = self._assert_rank_deficient_start(a, 6)
-        state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=6), np.random.default_rng(1))
+        state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=6), np.random.default_rng(1))[0]
         npt.assert_array_equal(state.basis_indices, columns)
 
     def test_pivots_unchanged_when_trailing_pivots_are_exactly_zero(self):
@@ -406,7 +406,7 @@ class TestRebuildAndValidate:
         rng = np.random.default_rng(21)
         data = ObservedMatrix.fully_observed(rng.normal(size=(4, 3)))
         hp = Hyperparameters(k=2)
-        return data, hp, init_state(data, hp, rng)
+        return data, hp, init_state(data, hp, rng)[0]
 
     def test_validate_accepts_fresh_state(self):
         data, hp, state = self._valid()

@@ -116,7 +116,7 @@ class TestWeightEntryParams:
         monkeypatch.setattr(sampler, "sample_prior_rows", spy)
         _force_accept(monkeypatch)
         before = state.j.copy()
-        assert sample_state_vector(state, data, hp, rng)
+        assert sample_state_vector(state, data, hp, rng, *gram_statistics(data.values, state.j))
         s = int(np.flatnonzero(state.j != before)[0])
         (y_in, mu_in, tau_in), = drawn
         assert y_in.shape == mu_in.shape == tau_in.shape == (1, 4)
@@ -254,10 +254,11 @@ class TestStateSwap:
             lambda hp_, count, n, gen: (row[None, :].copy(), np.array(0.0), np.array(1.0)),
         )
         rng = np.random.default_rng(149)
+        gram, proj = gram_statistics(data.values, state.j)
         accepted = 0
         trials = 10_000
         for _ in range(trials):
-            if sample_state_vector(state, data, hp, rng):
+            if sample_state_vector(state, data, hp, rng, gram, proj):
                 accepted += 1
             assert np.unique(state.j).size == 2
         assert abs(accepted / trials - 0.5) <= 0.02
@@ -301,7 +302,7 @@ class TestStateSwap:
             mask = rng.uniform(size=(m, n)) > 0.3
             data = ObservedMatrix(values=np.where(mask, rng.normal(size=(m, n)), 0.0), mask=mask)
             hp = Hyperparameters(k=k, iterations=10, burn_in=0, thinning=1)
-            state = init_state(data, hp, rng)
+            state = init_state(data, hp, rng)[0]
             state.sigma2 = float(rng.uniform(0.05, 2.0))
             s = int(rng.integers(k))
             i = int(state.interpolated_indices[rng.integers(n - k)])
@@ -336,8 +337,9 @@ class TestStateSwap:
     def test_debug_checks_cross_validate(self):
         rng = np.random.default_rng(157)
         data, hp, state = frozen_state(6, 5, 2, rng)
+        gram, proj = gram_statistics(data.values, state.j)
         for _ in range(30):
-            sample_state_vector(state, data, hp, rng, debug_checks=True)
+            sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=True)
 
     def test_swap_requires_valid_pair(self):
         data, state, rows = _exact_state()
@@ -350,7 +352,7 @@ class TestStateSwap:
         rng = np.random.default_rng(163)
         data, hp, state = frozen_state(4, 3, 3, rng)
         j_before = state.j.copy()
-        assert sample_state_vector(state, data, hp, rng) is False
+        assert sample_state_vector(state, data, hp, rng, *gram_statistics(data.values, state.j)) is False
         npt.assert_array_equal(state.j, j_before)
 
     def test_maintained_gram_statistics_stay_current(self):
@@ -415,9 +417,9 @@ class TestGramStatistics:
         start = sampler.init_state
 
         def init_then_reset(data, hp, rng):
-            state = start(data, hp, rng)
+            start_out = start(data, hp, rng)
             tracemalloc.reset_peak()
-            return state
+            return start_out
 
         monkeypatch.setattr(sampler, "init_state", init_then_reset)
         rng = np.random.default_rng(177)
@@ -507,7 +509,7 @@ class TestGramSweep:
         mask = rng.uniform(size=shape) > 0.3 if masked else np.ones(shape, dtype=bool)
         data = ObservedMatrix(values=np.where(mask, rng.normal(size=shape), 0.0), mask=mask)
         hp = Hyperparameters(k=k, variant=variant, iterations=10, burn_in=0, thinning=1)
-        state = init_state(data, hp, rng)
+        state = init_state(data, hp, rng)[0]
         state.sigma2 = sigma2
         gram, proj = gram_statistics(data.values, state.j)
         calls = _stub_redraws(monkeypatch)
@@ -609,9 +611,9 @@ class TestScalarPrior:
         assert s_scalar.gtn_mu.ndim == 0 and s_scalar.gtn_tau.ndim == 0
 
         def full_prior_init(data, hp, rng):
-            state = init_state(data, hp, rng)
+            state, *stats = init_state(data, hp, rng)
             state.gtn_mu, state.gtn_tau = np.zeros(state.y.shape), np.ones(state.y.shape)
-            return state
+            return state, *stats
 
         monkeypatch.setattr(sampler, "init_state", full_prior_init)
         s_full, t_full = runner(data, hp, np.random.default_rng(7))
@@ -720,26 +722,6 @@ class TestRunGibbs:
         with pytest.raises(InputError):
             run_gibbs(data, Hyperparameters(k=1, iterations=5, burn_in=0), np.random.default_rng(0))
 
-    def test_probe_positions_respected(self):
-        rng = np.random.default_rng(211)
-        data = ObservedMatrix.fully_observed(rng.normal(size=(6, 5)))
-        hp = Hyperparameters(k=2, iterations=10, burn_in=2, thinning=1)
-        probes = [(0, 0), (1, 3), (1, 4)]
-        state, trace = run_gibbs(data, hp, rng, probe_positions=probes)
-        assert sorted(trace.y_entry_chains) == sorted(probes)
-
-    @pytest.mark.parametrize("probe", [(2, 0), (0, 5), (-1, 0)])
-    def test_probe_outside_weights_rejected_before_sampling(self, monkeypatch, probe):
-        data = ObservedMatrix.fully_observed(np.random.default_rng(213).normal(size=(6, 5)))
-        hp = Hyperparameters(k=2, iterations=10, burn_in=2, thinning=1)
-
-        def no_init(*args):
-            raise AssertionError("sampling started")
-
-        monkeypatch.setattr(sampler, "init_state", no_init)
-        with pytest.raises(ConfigurationError, match="probe"):
-            run_gibbs(data, hp, np.random.default_rng(0), probe_positions=[(0, 0), probe])
-
     @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
     def test_start_gram_statistics_formed_once(self, monkeypatch, variant):
         rng = np.random.default_rng(229)
@@ -756,19 +738,22 @@ class TestRunGibbs:
         state, trace = run_gibbs(data, hp, np.random.default_rng(5))
         assert len(calls) == 1
 
-        # a start state that does not carry them (or whose basis moved) gets
-        # them formed afresh, and the chain is the same
-        def rebuilt_init(data, hp, rng):
-            s = init_state(data, hp, rng)
-            return IdState(j=s.j.copy(), y=s.y, sigma2=s.sigma2, gtn_mu=s.gtn_mu, gtn_tau=s.gtn_tau)
+    @pytest.mark.parametrize("shape, k", [((3, 3), 1), ((4, 2), 2), ((6, 5), 1)])
+    def test_default_probes_cover_small_weights(self, shape, k):
+        # K N <= 5: every position of Y_J is probed, once
+        data = ObservedMatrix.fully_observed(np.random.default_rng(211).normal(size=shape))
+        hp = Hyperparameters(k=k, iterations=10, burn_in=2, thinning=1)
+        _, trace = run_gibbs(data, hp, np.random.default_rng(0))
+        assert sorted(trace.y_entry_chains) == [(s, l) for s in range(k) for l in range(shape[1])]
 
-        monkeypatch.setattr(sampler, "init_state", rebuilt_init)
-        calls.clear()
-        again, again_trace = run_gibbs(data, hp, np.random.default_rng(5))
-        assert len(calls) == 2
-        npt.assert_array_equal(again.y, state.y)
-        npt.assert_array_equal(again_trace.mse_per_iter, trace.mse_per_iter)
-        npt.assert_array_equal(again_trace.sigma2_chain, trace.sigma2_chain)
+    @pytest.mark.parametrize("shape, k", [((6, 3), 2), ((8, 6), 2), ((5, 40), 3), ((30, 20), 20)])
+    def test_default_probes_are_five_distinct_positions_of_y(self, shape, k):
+        data = ObservedMatrix.fully_observed(np.random.default_rng(213).normal(size=shape))
+        hp = Hyperparameters(k=k, iterations=10, burn_in=2, thinning=1)
+        _, trace = run_gibbs(data, hp, np.random.default_rng(0))
+        probes = list(trace.y_entry_chains)
+        assert len(set(probes)) == len(probes) == 5
+        assert all(0 <= s < k and 0 <= l < shape[1] for s, l in probes)
 
     def test_loss_trend_downward_on_noisy_instance(self, monkeypatch):
         rng = np.random.default_rng(223)
@@ -778,9 +763,9 @@ class TestRunGibbs:
 
         def prior_start_init(data, hp, rng):
             # a chain started at the fit has no downward transient to check
-            state = init_state(data, hp, rng)
+            state, *stats = init_state(data, hp, rng)
             state.y = sample_prior_rows(hp, hp.k, data.shape[1], rng)[0]
-            return state
+            return state, *stats
 
         monkeypatch.setattr(sampler, "init_state", prior_start_init)
         state, trace = run_gibbs(data, hp, rng)
