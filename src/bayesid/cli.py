@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration problem, 3 input problem,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,7 @@ from .io import (
 )
 from .model import Hyperparameters, ObservedMatrix, residual_sums
 from .postprocess import extract_canonical
-from .rid import max_magnitude_excess, randomized_id
+from .rid import check_oversample, max_magnitude_excess, randomized_id
 from .sampler import run_gibbs
 
 METHOD_GBT = "gbt"
@@ -49,7 +50,21 @@ METHODS = (METHOD_GBT, METHOD_GBTN, METHOD_RID)
 _EXIT_CODES = ((ConfigurationError, 2, "config"), (InputError, 3, "input"), (NumericalError, 4, "numerical"))
 
 
-def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags decompose and benchmark share; each adds its own --k (and --method)."""
+    parser.add_argument("input", type=Path)
+    parser.add_argument("output", type=Path, nargs="?", default=None,
+                        help="output directory (alternative to --out)")
+    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--oversample", type=float, default=None,
+                        help="rid oversampling factor (default 1.2)")
+    parser.add_argument("--iterations", type=int, default=500)
+    parser.add_argument("--burn-in", type=int, default=100)
+    parser.add_argument("--thinning", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("csv", "matrix_market"), default=None,
+                        help="input format (default: by file extension)")
+    parser.add_argument("--has-header", action="store_true", help="skip the first CSV row")
     parser.add_argument("--cap", type=float, default=100.0, metavar="VALUE",
                         help="cap observed values at VALUE (default 100)")
     parser.add_argument("--no-cap", action="store_true", help="disable value capping")
@@ -63,19 +78,6 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
                         help="drop rows/columns with fewer observed entries (default 3)")
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "matrix_market"), default=None,
-                        help="input format (default: by file extension)")
-    parser.add_argument("--has-header", action="store_true", help="skip the first CSV row")
-
-
-def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iterations", type=int, default=500)
-    parser.add_argument("--burn-in", type=int, default=100)
-    parser.add_argument("--thinning", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayesid",
@@ -84,28 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="decompose one matrix with one method")
-    p.add_argument("input", type=Path)
-    p.add_argument("output", type=Path, nargs="?", default=None,
-                   help="output directory (alternative to --out)")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--method", choices=METHODS, default=METHOD_GBT)
     p.add_argument("--k", type=int, required=True, help="number of columns to keep")
-    p.add_argument("--oversample", type=float, default=None,
-                   help="rid oversampling factor (default 1.2)")
-    _add_sampler_flags(p)
-    _add_input_flags(p)
-    _add_preprocess_flags(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("benchmark", help="compare gbt and rid over several ranks")
-    p.add_argument("input", type=Path)
-    p.add_argument("output", type=Path, nargs="?", default=None)
-    p.add_argument("--out", type=Path, default=None)
     p.add_argument("--k", type=int, action="append", required=True,
                    help="rank to evaluate; repeat for several")
-    p.add_argument("--oversample", type=float, default=None)
-    _add_sampler_flags(p)
-    _add_input_flags(p)
-    _add_preprocess_flags(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("synth", help="generate a synthetic instance with known basis")
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
@@ -123,46 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iterations to drop before autocorrelation (default 0)")
     p.add_argument("--max-lag", type=int, default=20)
     return parser
-
-
-def _resolve_out(args) -> Path:
-    given = [p for p in (args.output, args.out) if p is not None]
-    if len(given) != 1:
-        raise ConfigurationError("give exactly one output directory (positional or --out)")
-    return given[0]
-
-
-def _prep_from_args(args) -> PreprocessConfig:
-    if args.min_observed < 0:
-        raise ConfigurationError(f"--min-observed must be nonnegative, got {args.min_observed}")
-    return PreprocessConfig(
-        cap_value=None if args.no_cap else args.cap,
-        undo_log=args.undo_log,
-        standardize=args.standardize,
-        duplicate_columns=args.duplicate_columns,
-        min_observed_per_vector=args.min_observed,
-    )
-
-
-def _prep_metadata(prep: PreprocessConfig, before, after) -> dict:
-    return {
-        "prep_cap": prep.cap_value if prep.cap_value is not None else "none",
-        "prep_undo_log": prep.undo_log,
-        "prep_standardize": prep.standardize,
-        "prep_duplicate_columns": prep.duplicate_columns,
-        "prep_min_observed": prep.min_observed_per_vector,
-        "rows_loaded": before[0],
-        "cols_loaded": before[1],
-        "rows_used": after[0],
-        "cols_used": after[1],
-    }
-
-
-def _check_run_flags(args, ks) -> None:
-    """Apply Hyperparameters' rules to --k and the sampler flags before any input is read."""
-    for k in ks:
-        Hyperparameters(k=k, iterations=args.iterations, burn_in=args.burn_in,
-                        thinning=args.thinning)
 
 
 def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations: int,
@@ -214,37 +162,64 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
     return canonical.c, canonical.w, meta, trace
 
 
-def _load_into(out_dir, args, prep, run) -> int:
-    """Create the output directory, read and preprocess the input, and return
-    ``run(loaded_shape, data)``.
+def _load_into(args, ks, run) -> int:
+    """Check every flag of a decompose or benchmark run, create the output
+    directory, read and preprocess the input, and return
+    ``run(out_dir, prep_meta, data)``, where ``prep_meta`` holds the
+    preprocessing settings and the loaded and used shapes.
 
-    The preprocessing runs in place on the loaded matrix, so from load to
+    Every flag is checked, ``--k`` for each of ``ks`` included, before
+    anything is created or read, so a bad flag writes nothing. The
+    preprocessing runs in place on the loaded matrix, so from load to
     write the matrix is held once; under duplication the twice-as-wide
     result is the one new array, and the loaded matrix is freed before
-    ``run``. An unusable output path stops the run before
-    the input is read. If the input or ``run`` then fails, the directories
-    created here are removed again while they are empty, so a failed run
-    leaves no stray directory behind.
+    ``run``. An unusable output path stops the run before the input is
+    read. If the input or ``run`` then fails, the directories created here
+    are removed again while they are empty, so a failed run leaves no
+    stray directory behind.
     """
-    created = make_output_dir(out_dir)
+    given = [p for p in (args.output, args.out) if p is not None]
+    if len(given) != 1:
+        raise ConfigurationError("give exactly one output directory (positional or --out)")
+    prep = PreprocessConfig(
+        cap_value=None if args.no_cap else args.cap,
+        undo_log=args.undo_log,
+        standardize=args.standardize,
+        duplicate_columns=args.duplicate_columns,
+        min_observed_per_vector=args.min_observed,
+    )
+    if args.oversample is not None:
+        check_oversample(args.oversample)
+    for k in ks:
+        Hyperparameters(k=k, iterations=args.iterations, burn_in=args.burn_in,
+                        thinning=args.thinning)
+    created = make_output_dir(given[0])
     try:
         raw = load_matrix(args.input, fmt=args.format, has_header=args.has_header)
-        loaded_shape, data = raw.shape, preprocess_in_place(raw, prep)
+        (rows_loaded, cols_loaded), data = raw.shape, preprocess_in_place(raw, prep)
         del raw
-        return run(loaded_shape, data)
+        prep_meta = {
+            "prep_cap": prep.cap_value if prep.cap_value is not None else "none",
+            "prep_undo_log": prep.undo_log,
+            "prep_standardize": prep.standardize,
+            "prep_duplicate_columns": prep.duplicate_columns,
+            "prep_min_observed": prep.min_observed_per_vector,
+            "rows_loaded": rows_loaded,
+            "cols_loaded": cols_loaded,
+            "rows_used": data.shape[0],
+            "cols_used": data.shape[1],
+        }
+        return run(given[0], prep_meta, data)
     except BaseException:
         remove_empty_dirs(created)
         raise
 
 
 def cmd_decompose(args) -> int:
-    out_dir = _resolve_out(args)
-    prep = _prep_from_args(args)
     if args.oversample is not None and args.method != METHOD_RID:
         raise ConfigurationError("--oversample applies only to the rid method")
-    _check_run_flags(args, [args.k])
 
-    def run(loaded_shape, data) -> int:
+    def run(out_dir, prep_meta, data) -> int:
         c, w, result, trace = _decompose(
             data, args.method, args.k, args.seed, args.iterations, args.burn_in, args.thinning,
             args.oversample,
@@ -254,7 +229,7 @@ def cmd_decompose(args) -> int:
             "method": args.method,
             "k": args.k,
             "seed": args.seed,
-            **_prep_metadata(prep, loaded_shape, data.shape),
+            **prep_meta,
             **result,
         }
         save_result(out_dir, c, w, meta)
@@ -268,22 +243,17 @@ def cmd_decompose(args) -> int:
         )
         return 0
 
-    return _load_into(out_dir, args, prep, run)
+    return _load_into(args, [args.k], run)
 
 
 _CELL_KEYS = ("mse", "mse_observed", "max_abs_w", "magnitude_excess")
 
 
 def cmd_benchmark(args) -> int:
-    out_dir = _resolve_out(args)
-    prep = _prep_from_args(args)
-    ks = list(args.k)
-    _check_run_flags(args, ks)
-
-    def run(_, data) -> int:
+    def run(out_dir, _, data) -> int:
         rows = []
         timings = []
-        for k in ks:
+        for k in args.k:
             for method in (METHOD_GBT, METHOD_RID):
                 started = time.perf_counter()
                 try:
@@ -314,7 +284,7 @@ def cmd_benchmark(args) -> int:
             print(f"k={k} method={method} mse={loss} status={status}")
         return 0
 
-    return _load_into(out_dir, args, prep, run)
+    return _load_into(args, args.k, run)
 
 
 def cmd_synth(args) -> int:
@@ -323,8 +293,8 @@ def cmd_synth(args) -> int:
         raise ConfigurationError(f"rows and cols must be positive, got {m} x {n}")
     if not 1 <= rank <= n:
         raise ConfigurationError(f"rank must lie in [1, {n}], got {rank}")
-    if args.noise < 0:
-        raise ConfigurationError(f"noise must be nonnegative, got {args.noise}")
+    if not 0.0 <= args.noise < math.inf:
+        raise ConfigurationError(f"noise must be finite and nonnegative, got {args.noise}")
     rng = np.random.default_rng(args.seed)
     basis = rng.normal(size=(m, rank))
     weights = rng.uniform(-1.0, 1.0, size=(rank, n - rank))

@@ -27,6 +27,7 @@ _NORM_RECOMPUTE_TOL = np.sqrt(np.finfo(float).eps / 2)
 
 
 def _as_matrix(a) -> np.ndarray:
+    """a as a float array; ValueError unless it is 2-d and every entry is finite."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")

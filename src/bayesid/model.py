@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import sample_gtn_array
 from .errors import ConfigurationError
-from .linalg import dominant_fit
+from .linalg import _as_matrix, dominant_fit
 
 VARIANT_GBT = "gbt"
 VARIANT_GBTN = "gbtn"
@@ -90,19 +90,12 @@ class ObservedMatrix:
     mask: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-d, got shape {self.values.shape}")
-        if self.mask.shape != self.values.shape:
-            raise ValueError(
-                f"mask shape {self.mask.shape} does not match values shape {self.values.shape}"
-            )
-        # min and max meet any nan or infinity, and the unobserved entries are
-        # read a block of rows at a time, so no M x N temporary is made
-        values, mask = self.values, self.mask
-        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise ValueError("values contain non-finite entries")
+        self.values = values = _as_matrix(self.values)
+        self.mask = mask = np.asarray(self.mask, dtype=bool)
+        if mask.shape != values.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match values shape {values.shape}")
+        # the unobserved entries are read a block of rows at a time, so no
+        # M x N temporary is made
         rows = max(1, _CHECK_BLOCK_BYTES // max(1, values.shape[1]))
         for lo in range(0, values.shape[0], rows):
             if np.any(values[lo:lo + rows], where=~mask[lo:lo + rows]):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, RankDeficiencyError
-from .linalg import numerical_rank
+from .linalg import _as_matrix, numerical_rank
 
 
 @dataclass
@@ -30,6 +30,12 @@ class RidResult:
     max_abs_w: float
 
 
+def check_oversample(oversample: float) -> None:
+    """Raise ConfigurationError unless 1 <= oversample < inf, which nan fails."""
+    if not 1.0 <= oversample < math.inf:
+        raise ConfigurationError(f"oversample must be finite and at least 1, got {oversample}")
+
+
 def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) -> RidResult:
     """Interpolative decomposition with randomized column sampling.
 
@@ -40,21 +46,16 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
     weights of the full matrix on C are W = R11^-1 Q1^T A, with R11 the
     leading k x k block of R, rows put in the order of C's columns.
 
-    Raises ValueError when a holds a non-finite entry, and
-    RankDeficiencyError (carrying the numerical rank) when R11 is
-    numerically rank deficient.
+    Raises ValueError when a is not 2-d or holds a non-finite entry,
+    ConfigurationError when k lies outside [1, n] or oversample is not
+    finite and at least 1, and RankDeficiencyError (carrying the
+    numerical rank) when R11 is numerically rank deficient.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    a = _as_matrix(a)
     n = a.shape[1]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
-    if oversample < 1.0:
-        raise ConfigurationError(f"oversample must be at least 1, got {oversample}")
-    # min and max meet any nan or infinity, without an M x N temporary
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError("matrix contains non-finite entries")
+    check_oversample(oversample)
 
     n_sample = min(math.ceil(oversample * k), n)
     sampled = np.sort(rng.choice(n, size=n_sample, replace=False))

@@ -81,6 +81,16 @@ class TestSynth:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_noise_must_be_finite_and_nonnegative(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--rows", "5", "--cols", "4", "--rank", "2",
+                     "--noise", noise]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecomposeRid:
     def test_exact_recovery_at_true_rank(self, tmp_path):
@@ -271,6 +281,25 @@ class TestErrorExits:
             capsys.readouterr()
             assert main([*argv, "--out", str(out), "--k", "2", *flags]) == 2, argv
             assert capsys.readouterr().err.startswith("error: config: "), argv
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("oversample", ["0.5", "nan", "inf"])
+    def test_oversample_checked_before_input_is_read(self, tmp_path, capsys, oversample):
+        src = _synth(tmp_path)
+        absent = tmp_path / "absent.csv"
+        cases = [
+            ["decompose", str(src), "--method", "rid"],
+            ["benchmark", str(src)],
+            ["decompose", str(absent), "--method", "rid"],
+            ["benchmark", str(absent)],
+        ]
+        for case, argv in enumerate(cases):
+            out = tmp_path / f"o{case}"
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out), "--k", "2", "--oversample", oversample,
+                         "--iterations", "20", "--burn-in", "5"]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: ") and err.count("\n") == 1, (argv, err)
             assert not out.exists(), argv
 
     # numpy warnings would reach stderr only outside pytest's warning capture,

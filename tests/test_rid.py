@@ -124,6 +124,11 @@ class TestRandomizedId:
         with pytest.raises(ConfigurationError):
             randomized_id(np.ones((4, 4)), 2, np.random.default_rng(0), oversample=0.5)
 
+    @pytest.mark.parametrize("oversample", [np.nan, np.inf, 0.5])
+    def test_oversample_must_be_finite_and_at_least_one(self, oversample):
+        with pytest.raises(ConfigurationError, match="oversample must be finite and at least 1"):
+            randomized_id(np.ones((4, 4)), 2, np.random.default_rng(0), oversample=oversample)
+
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError):
             randomized_id(np.ones(5), 1, np.random.default_rng(0))
