@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,8 @@ METHOD_RID = "rid"
 METHODS = (METHOD_GBT, METHOD_GBTN, METHOD_RID)
 
 _EXIT_CODES = ((ConfigurationError, 2, "config"), (InputError, 3, "input"), (NumericalError, 4, "numerical"))
+# randomized_id's own default, which metadata.json records when --oversample is absent
+_RID_OVERSAMPLE = signature(randomized_id).parameters["oversample"].default
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +60,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="output directory (alternative to --out)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--oversample", type=float, default=None,
-                        help="rid oversampling factor (default 1.2)")
+                        help=f"rid oversampling factor (default {_RID_OVERSAMPLE})")
     parser.add_argument("--iterations", type=int, default=500)
     parser.add_argument("--burn-in", type=int, default=100)
     parser.add_argument("--thinning", type=int, default=5)
@@ -121,7 +124,7 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
     """
     rng = np.random.default_rng(seed)
     if method == METHOD_RID:
-        oversample = 1.2 if oversample is None else oversample
+        oversample = _RID_OVERSAMPLE if oversample is None else oversample
         result = randomized_id(data.values, k, rng, oversample=oversample)
         # both losses from one row-blocked pass over the residual; a matrix with
         # no observed entry is all zero, and randomized_id has refused it

@@ -3,11 +3,12 @@
 The workhorse is the general truncated normal (GTN): a normal with mean
 ``mu`` and precision ``tau`` restricted to the interval [a, b]. With
 a = 0, b = inf it reduces to the usual rectified truncated normal.
-``sample_gtn_array`` draws it by the inverse CDF in the central regime
-and by rejection sampling when the whole interval sits deep in one tail,
-where the inverse CDF loses all resolution. No density is evaluated here;
-``_log_interval_mass`` gives the log of a GTN's normalising mass, stable
-in both tails, for exact computations outside the sampler.
+``sample_gtn_array`` draws it by the inverse CDF from one uniform per
+entry in every regime, redone on log probabilities (``log_ndtr`` and its
+inverse ``ndtri_exp``) where the whole interval sits deep in one tail.
+No density is evaluated here; ``_log_interval_mass`` gives the log of a
+GTN's normalising mass, stable in both tails, for exact computations
+outside the sampler.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidParameterError
 
-# Standardized bound beyond which the inverse CDF becomes unreliable and the
-# rejection samplers take over.
+# Standardized bound beyond which the plain inverse CDF becomes unreliable;
+# entries past it redo their own uniform's inverse CDF on log probabilities.
 _TAIL_LIMIT = 5.0
-
-_MAX_REJECTION_ROUNDS = 1000
 
 # The open unit interval that the inverse CDF is evaluated on.
 _U_MIN = np.nextafter(0.0, 1.0)
@@ -71,42 +70,6 @@ def _log_interval_mass(alpha, beta):
     return float(np.log(ndtr(beta) - ndtr(alpha)))
 
 
-def _sample_right_tail(alpha, beta, rng):
-    """Standard normal truncated to [alpha, beta] with alpha deep in the right tail.
-
-    Wide intervals use Robert's shifted-exponential proposal, narrow ones a
-    uniform proposal; both have acceptance bounded well away from zero.
-    """
-    lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
-    out = np.empty_like(alpha)
-    narrow = (beta - alpha) * lam < 1.0
-
-    todo = np.flatnonzero(narrow)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if todo.size == 0:
-            break
-        z = rng.uniform(alpha[todo], beta[todo])
-        keep = np.log(rng.uniform(size=todo.size)) <= 0.5 * (alpha[todo] ** 2 - z * z)
-        out[todo[keep]] = z[keep]
-        todo = todo[~keep]
-    else:
-        raise NumericalError("truncated normal rejection sampler failed to accept")
-
-    todo = np.flatnonzero(~narrow)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if todo.size == 0:
-            break
-        z = alpha[todo] + rng.exponential(size=todo.size) / lam[todo]
-        keep = (z <= beta[todo]) & (
-            np.log(rng.uniform(size=todo.size)) <= -0.5 * (z - lam[todo]) ** 2
-        )
-        out[todo[keep]] = z[keep]
-        todo = todo[~keep]
-    else:
-        raise NumericalError("truncated normal rejection sampler failed to accept")
-    return out
-
-
 def _scale_into_bounds(z, mu, sd, a, b):
     """mu + sd * z clipped to [a, b], written into z; in-place ufuncs cost less than np.clip."""
     z *= sd
@@ -122,8 +85,10 @@ def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator, size=None):
     broadcast to it; otherwise the output takes the parameters' broadcast
     shape. The standardized bounds are computed at the parameters' own
     shape, so a scalar prior costs one ``ndtr`` pair however many draws it
-    gives. Every draw lies inside its [a, b] interval, including when the
-    whole interval sits beyond 6 standard deviations from the parent mean.
+    gives. Each call takes exactly one uniform per output entry, row-major,
+    in every regime, and maps it through the inverse CDF; an interval
+    beyond ``_TAIL_LIMIT`` redoes that on log probabilities. Every draw
+    lies inside its [a, b] interval, however far from the parent mean.
     """
     mu, tau, a, b = (np.asarray(v, dtype=float) for v in (mu, tau, a, b))
     sd = 1.0 / np.sqrt(tau)
@@ -133,37 +98,27 @@ def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator, size=None):
     shape = param_shape if size is None else ((size,) if np.isscalar(size) else tuple(size))
     if size is not None and np.broadcast_shapes(param_shape, shape) != shape:
         raise ValueError(f"parameters of shape {param_shape} do not broadcast to size {shape}")
-    hi = alpha >= _TAIL_LIMIT
-    lo = beta <= -_TAIL_LIMIT
-
-    if not (hi.any() or lo.any()):
-        # central everywhere: uniforms straight into the output, in the
-        # order the masked path below would consume them
-        p_lo = ndtr(alpha)
-        z = rng.uniform(size=shape)
-        z *= ndtr(beta) - p_lo
-        z += p_lo
-        np.maximum(z, _U_MIN, out=z)
-        np.minimum(z, _U_MAX, out=z)
-        ndtri(z, out=z)
-        return _scale_into_bounds(z, mu, sd, a, b)
-
-    mu, sd, a, b, alpha, beta, hi, lo = (
-        np.broadcast_to(v, shape) for v in (mu, sd, a, b, alpha, beta, hi, lo)
-    )
-    z = np.empty(shape)
-    mid = ~(hi | lo)
-    if mid.any():
-        p_lo = ndtr(alpha[mid])
-        p_hi = ndtr(beta[mid])
-        u = p_lo + rng.uniform(size=int(mid.sum())) * (p_hi - p_lo)
-        np.maximum(u, _U_MIN, out=u)
-        np.minimum(u, _U_MAX, out=u)
-        z[mid] = ndtri(u)
-    if hi.any():
-        z[hi] = _sample_right_tail(alpha[hi], beta[hi], rng)
-    if lo.any():
-        z[lo] = -_sample_right_tail(-beta[lo], -alpha[lo], rng)
+    right = alpha >= _TAIL_LIMIT
+    tail = np.broadcast_to(right | (beta <= -_TAIL_LIMIT), shape)
+    z = rng.uniform(size=shape)
+    u = z[tail]
+    p_lo = ndtr(alpha)
+    z *= ndtr(beta) - p_lo
+    z += p_lo
+    np.maximum(z, _U_MIN, out=z)
+    np.minimum(z, _U_MAX, out=z)
+    ndtri(z, out=z)
+    if u.size:
+        # a right tail is drawn mirrored onto the left, where log Phi keeps its digits;
+        # log_ndtr overflows past -1e150, where no float lies between the draw and hi
+        flip, lo, hi = (np.broadcast_to(v, shape)[tail] for v in (right, alpha, beta))
+        lo, hi = (np.maximum(v, -1e150) for v in (np.where(flip, -hi, lo), np.where(flip, -lo, hi)))
+        # Phi(x) = Phi(hi) (r + u (1 - r)) with r = Phi(lo) / Phi(hi) adds two non-negative
+        # terms; u is clamped as the central CDF is, or u = 0 puts x at lo = -inf
+        log_hi = log_ndtr(hi)
+        log_r = log_ndtr(lo) - log_hi
+        x = ndtri_exp(log_hi + np.log(np.exp(log_r) - np.maximum(u, _U_MIN) * np.expm1(log_r)))
+        z[tail] = np.where(flip, -x, x)
     return _scale_into_bounds(z, mu, sd, a, b)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exercised in process via main(argv)."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from bayesid.diagnostics import build_run_report
 from bayesid.io import load_matrix, make_output_dir, read_trace_csv, remove_empty_dirs, save_matrix
 from bayesid.linalg import numerical_rank
 from bayesid.model import ObservedMatrix
+from bayesid.rid import randomized_id
 
 
 def _run_process(*argv):
@@ -109,6 +111,16 @@ class TestDecomposeRid:
         w = load_matrix(out / "W.csv").values
         assert c.shape == (30, 5)
         assert w.shape == (5, 20)
+
+    def test_default_oversample_is_randomized_ids_own(self, tmp_path, capsys):
+        # metadata.json and the help text name the default randomized_id itself takes
+        default = inspect.signature(randomized_id).parameters["oversample"].default
+        out = tmp_path / "rid_out"
+        assert main(["decompose", str(_synth(tmp_path)), str(out), "--method", "rid", "--k", "5"]) == 0
+        assert json.loads((out / "metadata.json").read_text())["oversample"] == default
+        with pytest.raises(SystemExit):
+            main(["decompose", "--help"])
+        assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
 
     def test_rank_deficient_selection_exits_numerical(self, tmp_path):
         p = tmp_path / "dup.csv"

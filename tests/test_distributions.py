@@ -2,6 +2,8 @@
 reference implementations.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -84,9 +86,9 @@ class TestSampleGtn:
     @pytest.mark.parametrize(
         "a,b",
         [
-            (6.0, 6.5),  # wide right-tail interval, shifted-exponential proposal
-            (6.0, 6.001),  # narrow right-tail interval, uniform proposal
-            (-6.5, -6.0),  # left tail via reflection
+            (6.0, 6.5),  # wide right-tail interval
+            (6.0, 6.001),  # narrow right-tail interval
+            (-6.5, -6.0),  # left-tail interval
         ],
     )
     def test_tail_regimes_ks(self, a, b):
@@ -131,6 +133,56 @@ class TestSampleGtn:
     def test_draws_never_leave_interval(self, mu, tau, lo, width, seed):
         draws = sample_gtn_array(mu, tau, lo, lo + width, np.random.default_rng(seed), size=8)
         assert np.all(draws >= lo) and np.all(draws <= lo + width)
+
+
+class _ConstantUniforms:
+    """A generator stand-in whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, size=None):
+        return np.full(size, self.value)
+
+
+class TestOneUniformPerEntry:
+    """Every entry is the inverse CDF of its own uniform, taken row-major,
+    whichever regime its interval lies in."""
+
+    @pytest.mark.parametrize("mu, a, b, size", [
+        (0.0, -1.0, 1.0, (3, 4)),
+        (0.0, 6.0, 8.0, (3, 4)),
+        (0.0, -8.0, -6.0, (3, 4)),
+        (np.array([0.0, 9.0, -9.0, 0.5]), -1.0, 1.0, None),
+        (np.array([[0.0], [9.0], [-30.0]]), -1.0, 1.0, (3, 4)),
+    ], ids=["central", "right-tail", "left-tail", "mixed-row", "size-broadcast"])
+    def test_one_uniform_per_output_entry(self, mu, a, b, size):
+        rng, ref = np.random.default_rng(97), np.random.default_rng(97)
+        out = sample_gtn_array(mu, 1.0, a, b, rng, size=size)
+        ref.uniform(size=out.shape)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("a, b", [
+        (5.5, 8.0), (10.0, 10.5), (40.0, 45.0), (200.0, 200.001), (6.0, np.inf), (-np.inf, -30.0),
+    ])
+    def test_tail_draws_are_the_inverse_cdf_of_their_uniform(self, a, b):
+        draws = sample_gtn_array(0.0, 1.0, a, b, np.random.default_rng(101), size=500)
+        u = np.random.default_rng(101).uniform(size=500)
+        # a right tail is drawn mirrored onto the left, so its uniform enters as 1 - u
+        want = scipy.stats.truncnorm(a, b).ppf(u if b < 0 else 1.0 - u)
+        npt.assert_allclose(draws, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["u-zero", "u-below-one"])
+    @pytest.mark.parametrize("a, b", [
+        (-1.0, 1.0), (0.0, np.inf), (-np.inf, np.inf), (6.0, np.inf), (-np.inf, -30.0),
+        (40.0, 45.0), (-np.inf, -1e200), (1e160, np.inf),
+    ])
+    def test_extreme_uniforms_give_finite_draws_without_warnings(self, a, b, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_gtn_array(0.0, 1.0, a, b, _ConstantUniforms(u), size=3)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws >= a) and np.all(draws <= b)
 
 
 class TestSizeContract:
