@@ -172,6 +172,12 @@ class TestOneUniformPerEntry:
         want = scipy.stats.truncnorm(a, b).ppf(u if b < 0 else 1.0 - u)
         npt.assert_allclose(draws, want, rtol=1e-12)
 
+    def test_tail_draw_keeps_its_digits_near_the_far_bound(self):
+        # a small u on a wide interval puts the draw near a, where the CDF ratio
+        # written as 1 - (1 - u)(1 - r) would cancel to a few digits
+        draw = sample_gtn_array(0.0, 1.0, -8.0, -5.5, _ConstantUniforms(1e-6), size=1)
+        npt.assert_allclose(draw, scipy.stats.truncnorm(-8.0, -5.5).ppf(1e-6), rtol=1e-14)
+
     @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["u-zero", "u-below-one"])
     @pytest.mark.parametrize("a, b", [
         (-1.0, 1.0), (0.0, np.inf), (-np.inf, np.inf), (6.0, np.inf), (-np.inf, -30.0),
