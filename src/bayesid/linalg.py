@@ -129,7 +129,11 @@ def dominant_fit(a, k: int):
     drawn. Raises ConfigurationError when k lies outside [1, n], and
     NumericalError when a squared column norm overflows.
     """
-    a = _as_matrix(a)
+    return _dominant_fit(_as_matrix(a), k)
+
+
+def _dominant_fit(a: np.ndarray, k: int):
+    """``dominant_fit`` on a float matrix already checked by ``_as_matrix``."""
     n = a.shape[1]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import sample_gtn_array
 from .errors import ConfigurationError
-from .linalg import _as_matrix, dominant_fit
+from .linalg import _as_matrix, _dominant_fit
 
 VARIANT_GBT = "gbt"
 VARIANT_GBTN = "gbtn"
@@ -245,7 +245,8 @@ def init_state(
     ``run_gibbs`` keeps current from there.
     """
     n = data.shape[1]
-    j, w = dominant_fit(data.values, hp.k)
+    # data.values passed _as_matrix when the ObservedMatrix was made
+    j, w = _dominant_fit(data.values, hp.k)
     j = j.astype(np.intp)
     if w is None:
         y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)

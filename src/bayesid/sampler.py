@@ -13,15 +13,24 @@ ICA 2009):
 
 * a weight sweep reads ``P - G @ Y_J`` a row at a time, O(K^2 N);
 * the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N);
-* a swap proposal reads x^T R as ``x^T A - (x^T C) @ Y_J``, O(MN);
+* a swap proposal first bounds its log odds from ||R||^2 (the loss) and
+  ||D||^2 (read from G, P and one column), O(M + N), and rejects at once
+  when the bound already decides (early rejection; Solonen et al.,
+  Bayesian Analysis 2012);
+* only a proposal the bound leaves open reads x^T R as
+  ``x^T A - (x^T C) @ Y_J``, O(MN);
 * an accepted swap recomputes one row and column of G and one row of P
   from the data, O(MN), so the statistics never drift.
 
-An iteration therefore costs O(K^2 N + MN), plus O(KMN) on masked input,
-where ``C @ Y_J`` is formed once for the observed-entry loss, a block of
-rows at a time, so the loop makes no M x N temporary. The rows of
-the N - K columns outside the basis are not stored: the swap draws the
-incoming row from its prior when it proposes it.
+The bound decides when ||D|| is well above 2 ||R||, as on low-noise fits,
+where a proposal then costs O(M + N). Noisy or masked input (the zero
+fill counts as residual) leaves it open and keeps the O(MN) product. An
+iteration therefore costs O(K^2 N + M + N) on such low-noise fits and
+O(K^2 N + MN) otherwise, plus O(KMN) on masked input, where ``C @ Y_J``
+is formed once for the observed-entry loss, a block of rows at a time, so
+the loop makes no M x N temporary. The rows of the N - K columns outside
+the basis are not stored: the swap draws the incoming row from its prior
+when it proposes it.
 
 The chain starts at the dominant column set's clipped least-squares fit
 (``model.init_state``), and the sweep draws each entry normal-first: one
@@ -46,8 +55,8 @@ sampler, the vectorised one the loop runs. The entrywise functions
 (``weight_entry_params`` and the like) give a conditional's parameters
 only, read from the residual directly; they are the references the
 acceptance tests check the run's draws against. Debug mode cross-checks
-the kept statistics, the loss and the swap odds against full
-recomputations every iteration.
+the kept statistics, the loss, the swap odds and every early rejection
+against full recomputations every iteration.
 """
 
 from __future__ import annotations
@@ -81,6 +90,11 @@ LOG_ODDS_CLAMP = 700.0
 
 # Relative tolerance of the debug cross-checks of G, P and the Gram loss.
 _GRAM_RTOL = 1e-9
+
+# Rounding slack of the early-rejection bound, in units of (M + N) eps:
+# the dimension factor of the dot-product error bounds behind G, P, the
+# Gram loss and the incremental swap odds.
+_BOUND_ULPS = 16.0
 
 _N_PROBES = 5
 
@@ -228,6 +242,37 @@ def state_swap_log_odds(
     return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
 
 
+def _swap_log_odds_bound(state, data, gram, proj, s, i, y_in, a_sq: float, rss: float) -> float:
+    """An upper bound on ``state_swap_log_odds(state, data, s, i, y_in)``, in O(M + N).
+
+    The swap turns the residual R into R + D, with D = x_out y_out^T - x_i
+    y_in^T, so its loss grows by ||R + D||^2 - ||R||^2 >= ||D|| (||D|| - 2
+    ||R||). ``rss`` is ||R||^2, the Gram loss of the current state, and
+    ||D||^2 = G[s, s] ||y_out||^2 + ||x_i||^2 ||y_in||^2 - 2 P[s, i]
+    <y_out, y_in> reads the kept G and P and column i alone. ||D||^2 and
+    the bound on the loss change are lowered, and ||R||^2 raised, by a
+    slack of ``_BOUND_ULPS`` (M + N) eps times the magnitudes involved
+    (``a_sq`` is ||A||^2). It covers the rounding of G, P, the Gram loss
+    and the incremental odds, so the bound stays above the odds
+    ``state_swap_log_odds`` computes, also where R = -t D (t < 1/2) makes
+    the inequality an equality. Where ||D|| <= 2 ||R|| the bound says
+    nothing and is the clamp, +700.
+    """
+    m, n = data.shape
+    y_out = state.y[s]
+    x_i = data.values[:, i]
+    g_out, g_in = float(gram[s, s]), float(x_i @ x_i)
+    yy_out, yy_in = float(y_out @ y_out), float(y_in @ y_in)
+    d_sq = g_out * yy_out + g_in * yy_in - 2.0 * float(proj[s, i]) * float(y_out @ y_in)
+    slack = _BOUND_ULPS * (m + n) * np.finfo(float).eps * (a_sq + rss + (g_out + g_in) * (yy_out + yy_in))
+    d = np.sqrt(max(d_sq - slack, 0.0))
+    r = np.sqrt(rss + slack)
+    if d <= 2.0 * r:
+        return LOG_ODDS_CLAMP
+    log_odds = -(d * (d - 2.0 * r) - slack) / (2.0 * state.sigma2)
+    return float(np.clip(log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
+
+
 def sample_state_vector(
     state: IdState,
     data: ObservedMatrix,
@@ -236,6 +281,8 @@ def sample_state_vector(
     gram: np.ndarray,
     proj: np.ndarray,
     debug_checks: bool = False,
+    a_sq: float | None = None,
+    rss: float | None = None,
 ) -> bool:
     """One uniform (slot, column) swap proposal, accepted with odds/(1 + odds).
 
@@ -250,6 +297,19 @@ def sample_state_vector(
     draws a fresh row, and slot s of the caller's G (``gram``) and P
     (``proj``) is recomputed from the data, so they stay current.
 
+    The draws come in one order: s, i, the incoming row (with its prior
+    under gbtn), then the uniform u; the swap is accepted when u <
+    sigmoid(log odds). Given ``a_sq`` = ||A||^2 and ``rss`` = ||R||^2, the
+    Gram loss of the current state, the move first reads an upper bound
+    on the log odds in O(M + N) (``_swap_log_odds_bound``): with D = x_out
+    y_out^T - x_i y_in^T the loss grows by at least ||D|| (||D|| - 2
+    ||R||). When u >= sigmoid(bound) the swap is rejected without the
+    O(MN) product of ``state_swap_log_odds``. Otherwise, and always when
+    ``rss`` is None, the odds are computed in full. Either way the draws,
+    the decision and the state are those of the full computation. Debug
+    mode recomputes the odds from both residuals for every early rejection
+    and raises NumericalError if u would have accepted.
+
     Returns whether the swap was accepted. With K = N there is nothing to
     swap, no random number is drawn and the state is returned unchanged.
     """
@@ -259,6 +319,17 @@ def sample_state_vector(
     s = int(rng.integers(state.j.size))
     i = int(inactive[rng.integers(inactive.size)])
     y_in, mu_in, tau_in = sample_prior_rows(hp, 1, state.y.shape[1], rng)
+    u = rng.uniform()
+    if rss is not None and u >= _sigmoid(
+        _swap_log_odds_bound(state, data, gram, proj, s, i, y_in[0], a_sq, rss)
+    ):
+        if debug_checks:
+            full = state_swap_log_odds(state, data, s, i, y_in[0], full_recompute=True)
+            if u < _sigmoid(full):
+                raise NumericalError(
+                    f"early rejection at u = {u} of a swap whose recomputed log odds {full} accept it"
+                )
+        return False
     log_odds = state_swap_log_odds(state, data, s, i, y_in[0])
     if debug_checks:
         full = state_swap_log_odds(state, data, s, i, y_in[0], full_recompute=True)
@@ -266,7 +337,7 @@ def sample_state_vector(
             raise NumericalError(
                 f"incremental swap odds {log_odds} disagree with full recomputation {full}"
             )
-    accept = rng.uniform() < _sigmoid(log_odds)
+    accept = u < _sigmoid(log_odds)
     if accept:
         state.j[s] = i
         state.y[s] = y_in[0]
@@ -432,9 +503,9 @@ class _TraceRecorder:
         self.probes = probes
         self.probe_vals = np.empty((len(probes), iterations))
         self.values = data.values
+        self.obs_count = int(np.count_nonzero(data.mask))
         # a fully observed mask changes no residual, so the observed loss is the loss
-        self.mask = None if data.mask.all() else data.mask
-        self.obs_count = int(data.mask.sum())
+        self.mask = None if self.obs_count == data.mask.size else data.mask
         self.swaps = 0
         self.count = 0
 
@@ -494,9 +565,13 @@ def run_gibbs(
         )
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
-        if sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=debug_checks):
-            rec.swaps += 1
+        # the post-sweep loss: the column move's bound reads it, and a
+        # rejected swap leaves it the iteration's loss
         rss = gram_rss(a_sq, state.y, gram, proj)
+        if sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=debug_checks,
+                               a_sq=a_sq, rss=rss):
+            rec.swaps += 1
+            rss = gram_rss(a_sq, state.y, gram, proj)
         rec.record(state, rss)
         if debug_checks:
             validate_state(state, data, hp)

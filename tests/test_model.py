@@ -230,6 +230,18 @@ class TestInitState:
         assert state.j.size == 10
         assert peak < m * n * 8, f"peak {peak} bytes, an M x N array is {m * n * 8}"
 
+    def test_reads_the_checked_matrix_without_checking_it_again(self, monkeypatch):
+        # ObservedMatrix checked the values when it was made; the start's
+        # pivoted QR reads them unchecked, while public dominant_fit checks
+        data = ObservedMatrix.fully_observed(np.random.default_rng(41).normal(size=(12, 8)))
+        checked = []
+        check = linalg._as_matrix
+        monkeypatch.setattr(linalg, "_as_matrix", lambda a: checked.append(1) or check(a))
+        start = init_state(data, Hyperparameters(k=3), np.random.default_rng(0))[0]
+        assert checked == []
+        npt.assert_array_equal(start.j, dominant_fit(data.values, 3)[0])
+        assert checked == [1]
+
     def test_index_properties_partition(self):
         rng = np.random.default_rng(13)
         data = ObservedMatrix.fully_observed(rng.normal(size=(5, 7)))

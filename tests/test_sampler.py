@@ -391,10 +391,10 @@ class TestGramStatistics:
         _force_accept(monkeypatch)
         move = sampler.sample_state_vector
 
-        def stale_move(state, data, hp, rng, gram=None, proj=None, debug_checks=False):
+        def stale_move(state, data, hp, rng, gram=None, proj=None, debug_checks=False, a_sq=None, rss=None):
             stats = {"gram": gram, "proj": proj}
             stats[stale] = stats[stale].copy()
-            return move(state, data, hp, rng, debug_checks=debug_checks, **stats)
+            return move(state, data, hp, rng, debug_checks=debug_checks, a_sq=a_sq, rss=rss, **stats)
 
         monkeypatch.setattr(sampler, "sample_state_vector", stale_move)
         rng = np.random.default_rng(173)
@@ -796,6 +796,188 @@ class TestRunGibbs:
         state, trace = run_gibbs(data, hp, rng, debug_checks=True)
         assert np.all(state.y >= -1.0) and np.all(state.y <= 1.0)
         assert np.all(state.gtn_tau > 0.0)
+
+
+def _swap_case(kind, variant, rng):
+    """A random small state and one swap proposal (s, i, y_in), with ||A||^2 and the Gram loss.
+
+    ``tall``, ``wide`` and ``masked`` hold rank-K data plus noise of a
+    random scale; ``twins`` and ``near-exact`` a duplicated instance at
+    noise 1e-3 and 1e-7, where half the incoming rows on ``twins`` copy the
+    outgoing one; ``tight`` is noise-free rank-K data on which the
+    residual is anti-parallel to the swap's change, R = -t D with t < 1/2,
+    so the bound equals the loss change up to rounding.
+    """
+    if kind == "tight":
+        return _tight_swap_case(variant, rng)
+    m, n = {"tall": (int(rng.integers(8, 30)), int(rng.integers(3, 8))),
+            "wide": (int(rng.integers(2, 6)), int(rng.integers(8, 20)))}.get(
+        kind, (int(rng.integers(10, 30)), 12))
+    k = int(rng.integers(1, min(n - 1, 4) + 1))
+    if kind in ("twins", "near-exact"):
+        values = duplicated_id_matrix(m, n // 2, k, rng, noise=1e-3 if kind == "twins" else 1e-7)
+    else:
+        values = rng.normal(size=(m, k)) @ rng.uniform(-1.0, 1.0, size=(k, n))
+        values += 10.0 ** rng.uniform(-3.0, 0.0) * rng.normal(size=(m, n))
+    mask = rng.uniform(size=values.shape) > (0.3 if kind == "masked" else -1.0)
+    data = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask)
+    hp = Hyperparameters(k=k, variant=variant, iterations=2, burn_in=0, thinning=1)
+    state, a_sq, gram, proj = init_state(data, hp, rng)
+    state.sigma2 = float(10.0 ** rng.uniform(-8.0, 1.0))
+    s = int(rng.integers(k))
+    i = int(state.interpolated_indices[rng.integers(n - k)])
+    y_in = sample_prior_rows(hp, 1, n, rng)[0][0]
+    if kind == "twins" and rng.uniform() < 0.5:
+        y_in = np.clip(state.y[s] + 1e-3 * rng.normal(size=n), hp.a, hp.b)
+    return data, state, gram, proj, a_sq, gram_rss(a_sq, state.y, gram, proj), s, i, y_in
+
+
+def _tight_swap_case(variant, rng):
+    m, n, k = int(rng.integers(3, 20)), int(rng.integers(6, 40)), int(rng.integers(1, 4))
+    hp = Hyperparameters(k=k, a=-2.0, b=2.0, variant=variant, iterations=2, burn_in=0, thinning=1)
+    s, i, t = int(rng.integers(k)), k, rng.uniform(0.0, 0.45)
+    # basis: columns 0..k-1; column k is C w; slot s's row is scaled so that
+    # A = C (Y - t e_s y_out^T + t w y_in^T) reads A[:, :k] = C, A[:, k] = C w
+    w = rng.uniform(-1.0, 1.0, size=k)
+    y = rng.uniform(-1.0, 1.0, size=(k, n))
+    y[:, :k] = np.eye(k)
+    y[:, i] = w
+    y[s, :k + 1] /= 1.0 - t
+    y_in = sample_prior_rows(hp, 1, n, rng)[0][0]
+    y_in[:k + 1] = 0.0
+    values = rng.normal(size=(m, k)) @ (y - t * np.outer(np.eye(k)[s], y[s]) + t * np.outer(w, y_in))
+    data = ObservedMatrix.fully_observed(values)
+    gtn_mu, gtn_tau = model.sample_prior_params(hp, k, n, rng)
+    state = IdState(j=np.arange(k), y=y, sigma2=1.0, gtn_mu=gtn_mu, gtn_tau=gtn_tau)
+    gram, proj = gram_statistics(values, state.j)
+    a_sq = float(np.sum(values**2))
+    rss = gram_rss(a_sq, y, gram, proj)
+    # sigma2 puts the bound at -c, c in [0.5, 30], away from the clamp
+    bound = sampler._swap_log_odds_bound(state, data, gram, proj, s, i, y_in, a_sq, rss)
+    if bound < sampler.LOG_ODDS_CLAMP:
+        state.sigma2 = -bound / rng.uniform(0.5, 30.0)
+    return data, state, gram, proj, a_sq, rss, s, i, y_in
+
+
+def _spy_full_odds(monkeypatch):
+    """Count the calls of ``state_swap_log_odds`` the column move makes."""
+    calls = []
+    full = sampler.state_swap_log_odds
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "state_swap_log_odds", spy)
+    return calls
+
+
+class TestEarlyRejection:
+    """The column move rejects without its O(MN) product when the bound
+    ||D|| (||D|| - 2 ||R||) on the loss change already decides, and every
+    draw, decision and state stays that of the full computation."""
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "masked", "twins", "near-exact", "tight"])
+    def test_a_bound_rejection_is_a_full_rejection(self, kind, variant):
+        # whenever u >= sigmoid(bound), the full recompute and the incremental
+        # odds reject the same u: sigmoid(odds) <= sigmoid(bound), at the
+        # tightest u = sigmoid(bound) too
+        rng = np.random.default_rng(191)
+        decided = 0
+        for _ in range(100):
+            data, state, gram, proj, a_sq, rss, s, i, y_in = _swap_case(kind, variant, rng)
+            bound = sampler._swap_log_odds_bound(state, data, gram, proj, s, i, y_in, a_sq, rss)
+            u = sampler._sigmoid(bound)
+            for full_recompute in (True, False):
+                odds = state_swap_log_odds(state, data, s, i, y_in, full_recompute=full_recompute)
+                assert sampler._sigmoid(odds) <= u, (kind, bound, odds)
+            decided += bound < sampler.LOG_ODDS_CLAMP
+        assert decided >= 5
+
+    @pytest.mark.parametrize("case", ["low-noise-gbt", "noisy-masked-gbtn"])
+    def test_runs_equal_the_runs_without_the_bound(self, monkeypatch, case):
+        rng = np.random.default_rng(193)
+        if case == "low-noise-gbt":
+            data = ObservedMatrix.fully_observed(duplicated_id_matrix(60, 20, 5, rng, noise=0.01))
+            hp = Hyperparameters(k=5, iterations=40, burn_in=0, thinning=1)
+        else:
+            values = duplicated_id_matrix(40, 15, 4, rng, noise=0.5)
+            mask = rng.uniform(size=values.shape) > 0.3
+            data = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask)
+            hp = Hyperparameters(k=4, variant="gbtn", iterations=40, burn_in=0, thinning=1)
+        calls = _spy_full_odds(monkeypatch)
+        state, trace = run_gibbs(data, hp, np.random.default_rng(7))
+        bounded_calls = len(calls)
+        monkeypatch.setattr(sampler, "_swap_log_odds_bound", lambda *args: sampler.LOG_ODDS_CLAMP)
+        calls.clear()
+        state_full, trace_full = run_gibbs(data, hp, np.random.default_rng(7))
+        assert len(calls) == hp.iterations
+        if case == "low-noise-gbt":
+            assert bounded_calls == 0
+        for name in ("j", "y", "sigma2", "gtn_mu", "gtn_tau"):
+            npt.assert_array_equal(getattr(state, name), getattr(state_full, name))
+        for name in ("mse_per_iter", "mse_observed_per_iter", "sigma2_chain"):
+            npt.assert_array_equal(getattr(trace, name), getattr(trace_full, name))
+        assert trace.y_entry_chains.keys() == trace_full.y_entry_chains.keys()
+        for pos, chain in trace.y_entry_chains.items():
+            npt.assert_array_equal(chain, trace_full.y_entry_chains[pos])
+        assert trace.accepted_swaps == trace_full.accepted_swaps
+
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    @pytest.mark.parametrize("noise", [0.01, 1.0])
+    def test_draws_come_in_one_order(self, variant, noise):
+        # s, i, the incoming row (its gbtn prior first), then u, whether the
+        # bound rejects (low noise) or leaves the proposal open (noise 1)
+        rng = np.random.default_rng(199)
+        values = duplicated_id_matrix(30, 10, 2, rng, noise=noise)
+        data = ObservedMatrix.fully_observed(values)
+        hp = Hyperparameters(k=2, variant=variant, iterations=2, burn_in=0, thinning=1)
+        state, a_sq, gram, proj = init_state(data, hp, rng)
+        state.sigma2 = noise**2
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    calls.append((name, kwargs.get("size")))
+                    return getattr(rng, name)(*args, **kwargs)
+                return draw
+
+        rss = gram_rss(a_sq, state.y, gram, proj)
+        sample_state_vector(state, data, hp, Recording(), gram, proj, a_sq=a_sq, rss=rss)
+        prior = [("normal", (1, 20)), ("gamma", (1, 20))] if variant == "gbtn" else []
+        assert calls == [("integers", None), ("integers", None), *prior, ("uniform", (1, 20)), ("uniform", None)]
+
+    @staticmethod
+    def _propose(monkeypatch, data, sigma2, proposals):
+        """Debug-checked proposals on a fixed start; returns the calls of the full odds."""
+        rng = np.random.default_rng(181)
+        hp = Hyperparameters(k=2, iterations=2, burn_in=0, thinning=1)
+        state, a_sq, gram, proj = init_state(data, hp, rng)
+        state.sigma2 = sigma2
+        calls = _spy_full_odds(monkeypatch)
+        for _ in range(proposals):
+            rss = gram_rss(a_sq, state.y, gram, proj)
+            sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=True, a_sq=a_sq, rss=rss)
+        return calls
+
+    def test_debug_checks_pass_every_rejection_of_the_bound(self, monkeypatch):
+        values = duplicated_id_matrix(30, 10, 2, np.random.default_rng(183), noise=0.01)
+        calls = self._propose(monkeypatch, ObservedMatrix.fully_observed(values), 1e-4, 100)
+        # an early rejection makes one call (the debug recompute), any other
+        # proposal two, so every proposal here was rejected early
+        assert len(calls) == 100
+
+    def test_debug_checks_catch_a_loosened_bound(self, monkeypatch):
+        # the bound without its 2 ||R|| term, -||D||^2 / (2 sigma^2), is too low
+        # wherever the swap moves D against the residual; on random data at a
+        # noise variance of 5 the swap odds are moderate
+        bound = sampler._swap_log_odds_bound
+        monkeypatch.setattr(sampler, "_swap_log_odds_bound", lambda *args: bound(*args[:-1], 0.0))
+        data = ObservedMatrix.fully_observed(np.random.default_rng(181).normal(size=(10, 8)))
+        with pytest.raises(NumericalError, match="early rejection"):
+            self._propose(monkeypatch, data, 5.0, 100)
 
 
 def _k1_exact_posterior(a, hp, log_s2):
