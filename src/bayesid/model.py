@@ -176,15 +176,47 @@ def gram_statistics(values: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.n
     return c.T @ c, c.T @ values
 
 
-def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray) -> float:
+def _start_statistics(values: np.ndarray, j: np.ndarray, perm: np.ndarray, r_top: np.ndarray):
+    """G and P of the basis values[:, j], read off the start's pivoted QR where it can be.
+
+    ``perm`` and ``r_top`` are ``linalg._truncated_cpqr``'s: the rows of R,
+    one per pivot, column i of ``r_top`` belonging to column perm[i] of
+    the data. Each row of R is q_t @ A, so R = Q^T A, and a pivot column is
+    a_c = Q R[:, c], so its row of P = C^T A is R[:, c]^T R, with no pass
+    over the data. The other chosen columns (brought in by an exchange, or
+    filling a rank-deficient start) read their rows from the data, in one
+    product. G is P[:, J], symmetrized.
+    """
+    n = values.shape[1]
+    r = np.empty_like(r_top)
+    r[:, perm] = r_top
+    pivot = np.zeros(n, dtype=bool)
+    pivot[perm[:r.shape[0]]] = True
+    from_r = pivot[j]
+    proj = np.empty((j.size, n))
+    proj[from_r] = r[:, j[from_r]].T @ r
+    if not from_r.all():
+        proj[~from_r] = values[:, j[~from_r]].T @ values
+    gram = proj[:, j]
+    return 0.5 * (gram + gram.T), proj
+
+
+def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray,
+             uy: np.ndarray | None = None) -> float:
     """||A - C Y_J||^2 from the Gram statistics: ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>.
 
-    ``a_sq`` is ||A||^2. The three terms cancel near an exact fit, leaving
-    a rounding error of order eps * (||A||^2 + ||C Y_J||^2); the result is
-    floored at 0. The error does not accumulate across iterations, because
-    each evaluation reads the current statistics, which never drift.
+    ``a_sq`` is ||A||^2. <Y_J, G Y_J> is read as 2<Y_J, U Y_J> + sum_s
+    G_ss ||Y_s||^2, with U = triu(G, 1); ``uy`` is U Y_J when the caller
+    has it (the gbt sweep starts from it), and is formed here otherwise.
+    The terms cancel near an exact fit, leaving a rounding error of order
+    eps * (||A||^2 + ||C Y_J||^2); the result is floored at 0. The error
+    does not accumulate across iterations, because each evaluation reads
+    the current statistics, which never drift.
     """
-    rss = a_sq - 2.0 * float(np.vdot(y, proj)) + float(np.vdot(y, gram @ y))
+    if uy is None:
+        uy = np.triu(gram, 1) @ y
+    quad = 2.0 * float(np.vdot(y, uy)) + float(gram.diagonal() @ np.einsum("ij,ij->i", y, y))
+    rss = a_sq - 2.0 * float(np.vdot(y, proj)) + quad
     return max(rss, 0.0)
 
 
@@ -240,13 +272,17 @@ def init_state(
     variance is the start fit's mean squared residual over all M x N
     entries, floored at 1e-6, computed without an M x N temporary from
     ||A||^2 and the Gram statistics G = C^T C and P = C^T A of the basis.
+    G and P are read off the same pivoted QR (``_start_statistics``):
+    P's row of a chosen pivot column c is R[:, c]^T R, and G = P[:, J].
+    Only columns brought in by an exchange, or filling a rank-deficient
+    start, read their rows of P from the data.
 
     Returns (state, a_sq, gram, proj): the state and those three, which
     ``run_gibbs`` keeps current from there.
     """
     n = data.shape[1]
     # data.values passed _as_matrix when the ObservedMatrix was made
-    j, w = _dominant_fit(data.values, hp.k)
+    j, w, perm, r_top = _dominant_fit(data.values, hp.k)
     j = j.astype(np.intp)
     if w is None:
         y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)
@@ -255,7 +291,7 @@ def init_state(
         y = np.clip(w, hp.a, hp.b)
 
     a_sq = float(np.einsum("ij,ij->", data.values, data.values))
-    gram, proj = gram_statistics(data.values, j)
+    gram, proj = _start_statistics(data.values, j, perm, r_top)
     sigma2 = max(gram_rss(a_sq, y, gram, proj) / data.values.size, _SIGMA2_FLOOR)
 
     return IdState(j=j, y=y, sigma2=sigma2, gtn_mu=gtn_mu, gtn_tau=gtn_tau), a_sq, gram, proj

@@ -12,7 +12,9 @@ for the whole run (as in Schmidt, Winther & Hansen's Bayesian NMF sampler,
 ICA 2009):
 
 * a weight sweep reads ``P - G @ Y_J`` a row at a time, O(K^2 N);
-* the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N);
+* the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N), read through
+  U Y_J with U = triu(G, 1), the product the next gbt sweep starts from,
+  so an iteration forms one K x K x N product beside the sweep's solve;
 * a swap proposal first bounds its log odds from ||R||^2 (the loss) and
   ||D||^2 (read from G, P and one column), O(M + N), and rejects at once
   when the bound already decides (early rejection; Solonen et al.,
@@ -369,7 +371,7 @@ def _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s):
     return mu_post, tau_post
 
 
-def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
+def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng, uy=None) -> None:
     """One systematic Gibbs scan over every entry of Y_J, in place, in slot order.
 
     Each entry is drawn normal-first: a plain normal N(mu, 1/tau) from its
@@ -390,11 +392,13 @@ def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
     redraws from the entry's conditional mean given the final rows above
     it, so it leaves Y_J where the row-by-row scan would. Otherwise (gbtn's
     per-entry precisions) the rows are drawn one at a time from
-    ``_weight_row_params``, O(KN) each.
+    ``_weight_row_params``, O(KN) each. ``uy``, when given, is triu(G, 1)
+    @ Y_J for the current Y_J; the triangular scan starts from it and
+    overwrites it.
     """
     tau = np.asarray(gtn_tau)
     if tau.ndim == 0 or np.all(tau == tau[:, :1]):
-        _sweep_triangular(y, gram, proj, sigma2, gtn_mu, tau if tau.ndim == 0 else tau[:, :1], a, b, rng)
+        _sweep_triangular(y, gram, proj, sigma2, gtn_mu, tau if tau.ndim == 0 else tau[:, :1], a, b, rng, uy)
         return
     for s in range(y.shape[0]):
         mu_post, tau_post = _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s)
@@ -407,7 +411,7 @@ def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng) -> None:
         y[s] = row
 
 
-def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng) -> None:
+def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng, uy=None) -> None:
     """The scan of ``_sweep_weights`` when row s has one precision for all its columns.
 
     ``prior_tau`` is 0-d or K x 1. With D = diag(G) + sigma^2 tau_0 and sd_s
@@ -422,7 +426,8 @@ def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng) -> No
     Gauss-Seidel solve with a noise term (Goodman & Sokal, Phys. Rev. D
     1989; Fox & Parker, Bernoulli 2017). It is solved as M^-1 R, through
     the triangular inverse the repairs read too, and the normals z of the
-    whole sweep are drawn as one K x N block.
+    whole sweep are drawn as one K x N block. The right-hand side starts
+    from ``uy`` = triu(G, 1) @ Y_J when the caller has it, in place.
 
     A proposal outside [a, b] is exact only while the rows before it are
     final, so the repairs run in rounds. Each round takes every column's
@@ -440,7 +445,7 @@ def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng) -> No
     tau_post = diag / sigma2
     sd = 1.0 / np.sqrt(tau_post)
     z = rng.standard_normal(y.shape)
-    rhs = np.triu(gram, 1) @ y
+    rhs = np.triu(gram, 1) @ y if uy is None else uy
     np.subtract(proj, rhs, out=rhs)
     rhs += (sigma2 * prior_tau) * gtn_mu
     rhs += (diag * sd)[:, None] * z
@@ -556,21 +561,25 @@ def run_gibbs(
 
     values = data.values
     rss = gram_rss(a_sq, state.y, gram, proj)
+    uy = None  # triu(G, 1) @ Y_J, when current
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(rss, data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
         _sweep_weights(
             state.y, gram, proj, state.sigma2,
-            state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng,
+            state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng, uy,
         )
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
         # the post-sweep loss: the column move's bound reads it, and a
-        # rejected swap leaves it the iteration's loss
-        rss = gram_rss(a_sq, state.y, gram, proj)
+        # rejected swap leaves it the iteration's loss; its U Y_J starts
+        # the next sweep
+        uy = np.triu(gram, 1) @ state.y
+        rss = gram_rss(a_sq, state.y, gram, proj, uy)
         if sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=debug_checks,
                                a_sq=a_sq, rss=rss):
             rec.swaps += 1
+            uy = None
             rss = gram_rss(a_sq, state.y, gram, proj)
         rec.record(state, rss)
         if debug_checks:

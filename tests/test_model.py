@@ -13,6 +13,7 @@ from bayesid.linalg import dominant_fit, numerical_rank
 from bayesid.model import (
     Hyperparameters,
     ObservedMatrix,
+    gram_statistics,
     init_state,
     sample_prior_rows,
     validate_state,
@@ -411,6 +412,37 @@ class TestDominantStart:
         huge = np.random.default_rng(53).normal(size=(12, 9)) * 2.0**700  # squared norms overflow
         with pytest.raises(NumericalError, match="squared column norms overflow"):
             dominant_fit(huge, 4)
+
+
+class TestStartStatistics:
+    """The start's G and P, read off its pivoted QR, against a fresh gram_statistics."""
+
+    @staticmethod
+    def _assert_fresh(a, k):
+        state, a_sq, gram, proj = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=k),
+                                             np.random.default_rng(0))
+        fresh_gram, fresh_proj = gram_statistics(a, state.j)
+        for got, want in ((gram, fresh_gram), (proj, fresh_proj)):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        npt.assert_array_equal(gram, gram.T)
+        return state
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_exchange_case(self, noise):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(12, 4)) @ rng.normal(size=(4, 15)) + noise * rng.normal(size=(12, 15))
+        state = self._assert_fresh(a, 4)
+        # an exchange brought in a column that is not a pivot
+        assert not np.all(np.isin(state.j, scipy.linalg.qr(a, pivoting=True)[2][:4]))
+
+    def test_rank_deficient_case(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 15))
+        assert dominant_fit(a, 6)[1] is None
+        self._assert_fresh(a, 6)
+
+    def test_tall_case(self):
+        self._assert_fresh(duplicated_id_matrix(200, 60, 10, np.random.default_rng(3), noise=0.05), 20)
 
 
 class TestRebuildAndValidate:

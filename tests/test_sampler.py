@@ -413,6 +413,22 @@ class TestGramStatistics:
             _, trace = run_gibbs(data, hp, rng, debug_checks=True)
             assert trace.accepted_swaps == 20
 
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "every-swap-accepted"])
+    def test_handed_upper_product_is_the_sweeps_own(self, monkeypatch, force):
+        # the loss's triu(G, 1) @ Y_J starts the next sweep; a sweep that forms
+        # its own gives the same bytes, also after accepted swaps
+        data = ObservedMatrix.fully_observed(duplicated_id_matrix(20, 8, 3, np.random.default_rng(177), noise=0.1))
+        hp = Hyperparameters(k=3, iterations=20, burn_in=0, thinning=1)
+        if force:
+            _force_accept(monkeypatch)
+        _, handed = run_gibbs(data, hp, np.random.default_rng(3))
+        sweep = sampler._sweep_weights
+        monkeypatch.setattr(sampler, "_sweep_weights", lambda *args: sweep(*args[:9]))
+        _, own = run_gibbs(data, hp, np.random.default_rng(3))
+        assert handed.accepted_swaps == own.accepted_swaps == (20 if force else 0)
+        npt.assert_array_equal(handed.mse_per_iter, own.mse_per_iter)
+        npt.assert_array_equal(handed.sigma2_chain, own.sigma2_chain)
+
     def test_loop_allocates_no_m_by_n_array(self, monkeypatch):
         start = sampler.init_state
 
@@ -727,16 +743,23 @@ class TestRunGibbs:
         rng = np.random.default_rng(229)
         data = ObservedMatrix.fully_observed(duplicated_id_matrix(30, 10, 3, rng, noise=0.1))
         hp = Hyperparameters(k=3, variant=variant, iterations=15, burn_in=5, thinning=1)
-        calls = []
+        calls, kept = [], []
 
         def counted(values, j):
             calls.append(j.copy())
             return gram_statistics(values, j)
 
+        start = sampler.init_state
+        monkeypatch.setattr(sampler, "init_state", lambda *args: kept.append(start(*args)) or kept[0])
         monkeypatch.setattr(model, "gram_statistics", counted)
         monkeypatch.setattr(sampler, "gram_statistics", counted)
         state, trace = run_gibbs(data, hp, np.random.default_rng(5))
-        assert len(calls) == 1
+        # the start reads G and P off its pivoted QR, and the loop keeps them
+        assert calls == []
+        gram, proj = kept[0][2:]
+        fresh_gram, fresh_proj = gram_statistics(data.values, state.j)
+        for got, want in ((gram, fresh_gram), (proj, fresh_proj)):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("shape, k", [((3, 3), 1), ((4, 2), 2), ((6, 5), 1)])
     def test_default_probes_cover_small_weights(self, shape, k):
