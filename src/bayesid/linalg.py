@@ -4,18 +4,12 @@ a pivoted R factor.
 The dominant column set reads only the first K pivots, so it runs at most
 K steps of a left-looking pivoted QR instead of LAPACK geqp3 on all of A:
 the same max-residual-norm pivots and norm-downdate safeguard, in O(KMN)
-time and O(K(M + N)) memory, with no copy of A, on every input. When the
+time and O(K(M + N)) memory, with no copy of A, on every input. A step
+costs one pass over A, the product that reads its row of R
+(Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998). When the
 leading K columns are numerically rank deficient the factorization stops
-at the numerical rank, and the remaining slots hold columns that only
-rounding would rank.
-
-A step costs one pass over A, the product that reads its row of R
-(Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998), and a pass
-serves two steps when the next pivot is certified first: the 16 largest
-residual norms, downdated by the new direction alone, have a best that
-stays strictly above every other norm, which can only shrink. The pivots
-stay those of one-row steps; on a 1000 x 500 input at K = 50, 26 passes
-make the 50 steps.
+at the numerical rank, and the remaining slots hold the other columns in
+descending order of their squared norms.
 """
 
 from __future__ import annotations
@@ -32,10 +26,6 @@ _DOMINANCE_TOL = 1e-10
 # dlaqp2's tol3z, sqrt(dlamch('E')): a downdated squared norm at or below
 # this fraction of its last computed value is recomputed from the data.
 _NORM_RECOMPUTE_TOL = np.sqrt(np.finfo(float).eps / 2)
-
-# Candidates whose downdate the truncated pivoted QR reads ahead of a pass
-# to certify the next pivot (``_certified_pivot``).
-_LOOKAHEAD = 16
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -57,103 +47,45 @@ def numerical_rank(r: np.ndarray) -> int:
     return int(np.count_nonzero(diag > max(r.shape) * np.finfo(float).eps * diag[0]))
 
 
-def _orthogonal_part(col: np.ndarray, q: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """col minus its projection on the rows of q, given coef = q @ col, reorthogonalized once."""
-    v = col - coef @ q
-    v -= (q @ v) @ q
-    return v
-
-
-def _downdate(a, q, r, norms2, computed2, rest, t, block) -> None:
-    """Downdate the squared norms of the columns ``rest`` by row t of R, in place.
-
-    A norm that has lost too much to cancellation is recomputed from the
-    data, ``block`` columns at a time, by dlaqp2's rule.
-    """
-    norms2[rest] = np.maximum(norms2[rest] - r[t, rest] ** 2, 0.0)
-    stale = rest[(norms2[rest] <= _NORM_RECOMPUTE_TOL * computed2[rest]) & (computed2[rest] > 0)]
-    for lo in range(0, stale.size, block):
-        cols = stale[lo:lo + block]
-        resid = a[:, cols] - q[:t + 1].T @ r[:t + 1, cols]
-        norms2[cols] = computed2[cols] = np.einsum("ij,ij->j", resid, resid)
-
-
-def _certified_pivot(a, q_t, norms2, computed2, rest):
-    """The next step's pivot, when step t's downdate of a few norms already proves it.
-
-    ``rest`` holds the columns after step t's pivot, in swap order, and
-    ``q_t`` step t's direction. The ``_LOOKAHEAD`` largest squared norms
-    are downdated exactly by one small product q_t @ a[:, S]; a residual
-    norm only shrinks, so a column outside S ends step t at most at its
-    current norm. When the largest downdated candidate lies strictly above
-    every norm outside S, and no candidate would be recomputed from the
-    data, it is the next pivot (the first in swap order among equal ones).
-    Returns (position in ``rest``, q_t @ its column), or None.
-    """
-    if rest.size > _LOOKAHEAD:
-        order = np.argpartition(norms2[rest], -_LOOKAHEAD - 1)
-        cand, outside = order[-_LOOKAHEAD:], norms2[rest[order[-_LOOKAHEAD - 1]]]
-    else:
-        cand, outside = np.arange(rest.size), -np.inf
-    cols = rest[cand]
-    row = q_t @ a[:, cols]
-    down = np.maximum(norms2[cols] - row ** 2, 0.0)
-    if np.any((down <= _NORM_RECOMPUTE_TOL * computed2[cols]) & (computed2[cols] > 0)):
-        return None
-    ties = np.flatnonzero(down == down.max())
-    if not down[ties[0]] > outside:
-        return None
-    first = ties[np.argmin(cand[ties])]
-    return int(cand[first]), float(row[first])
-
-
 def _truncated_cpqr(a: np.ndarray, k: int):
     """The first k steps of column-pivoted QR, without factoring all of a.
 
     Left-looking Businger-Golub pivoting: step t takes the remaining column
     of largest residual norm (argmax over perm[t:], in geqp3's swap order),
     orthogonalizes it against the directions so far with one
-    reorthogonalization pass, and reads its row of R as q_t @ a. The
-    squared norms are then downdated by that row; a norm that has lost too
-    much to cancellation is recomputed from the data, by dlaqp2's rule
-    (Drmac and Bujanovic, LAWN 176, 2008).
-
-    Each pass over the data serves two steps when it can. Before reading
-    row t, ``_certified_pivot`` downdates the largest few norms by q_t
-    alone and, when that proves step t + 1's pivot (the stale-bound test
-    of lazy greedy selection, Minoux 1978), its direction is formed at once
-    and rows t and t + 1 are read by one product q[t:t+2] @ a. The pass's
-    row t then downdates every norm as in a one-row step, and the pivot is
-    taken only if it is still their argmax; a rounding-level disagreement
-    drops row t + 1, and step t + 1 is made afresh. The pivots are thus
-    those of the one-row steps, and every row of R is a direct product of
-    q and a. On the tall-gbt input (k = 50) 26 passes make the 50 steps.
+    reorthogonalization pass, and reads its row of R as q_t @ a, the step's
+    only pass over the data. The squared norms are then downdated by that
+    row; a norm that has lost too much to cancellation is recomputed from
+    the data, by dlaqp2's rule (Drmac and Bujanovic, LAWN 176, 2008).
     Costs O(kmn) time and O(k(m + n)) memory beyond a.
 
     Stops at the first step t whose residual is numerically zero, |r_tt| <=
     n eps |r_00| (every step t >= m, and step 0 of an all-zero a): a then
-    has numerical rank t, and positions t..k-1 of perm hold columns that
-    only rounding would rank. Returns (perm, r): perm is the column order
-    after the swaps made, and r the rows of R in that order, one per step
-    before the stop, so r has k rows exactly when the leading k columns
-    have full numerical rank. Raises NumericalError when a squared column
-    norm overflows.
+    has numerical rank t, and positions t.. of perm hold the remaining
+    columns by descending squared norm, ties in swap order, an order that
+    residual norms of rounding size cannot change. Returns (perm, r,
+    norms2): perm is the column order, r the rows of R in that order, one
+    per step before the stop, so r has k rows exactly when the leading k
+    columns have full numerical rank, and norms2 the squared norm of each
+    column of a. Raises NumericalError when a squared column norm
+    overflows.
     """
     m, n = a.shape
     norms2 = np.einsum("ij,ij->j", a, a)
     if not np.isfinite(norms2.max()):
         raise NumericalError("squared column norms overflow; rescale the data")
-    computed2 = norms2.copy()  # each squared norm when last computed from the data
+    resid2 = norms2.copy()  # each residual squared norm, downdated step by step
+    computed2 = norms2.copy()  # each residual squared norm when last computed from the data
     perm = np.arange(n)
     steps = min(k, m)
     q = np.empty((steps, m))
     r = np.empty((steps, n))
     rank_tol = n * np.finfo(float).eps
-    t = 0
-    while t < steps:
-        p = t + int(np.argmax(norms2[perm[t:]]))
+    for t in range(steps):
+        p = t + int(np.argmax(resid2[perm[t:]]))
         perm[t], perm[p] = perm[p], perm[t]
-        v = _orthogonal_part(a[:, perm[t]], q[:t], r[:t, perm[t]])
+        v = a[:, perm[t]] - r[:t, perm[t]] @ q[:t]
+        v -= (q[:t] @ v) @ q[:t]
         rtt = float(np.linalg.norm(v))
         if t == 0:
             r00 = rtt
@@ -161,35 +93,21 @@ def _truncated_cpqr(a: np.ndarray, k: int):
             steps = t
             break
         q[t] = v / rtt
-        rest = perm[t + 1:]
-        ahead = _certified_pivot(a, q[t], norms2, computed2, rest) if t + 1 < steps else None
-        if ahead is not None:
-            nxt, r_tc = ahead
-            c = rest[nxt]
-            r[t, c] = r_tc  # until the pass reads all of row t
-            v = _orthogonal_part(a[:, c], q[:t + 1], r[:t + 1, c])
-            rtt = float(np.linalg.norm(v))
-            if rtt > rank_tol * r00:
-                q[t + 1] = v / rtt
-            else:
-                ahead = None  # the rank stop: step t + 1 finds it again
-        if ahead is None:
-            r[t] = q[t] @ a
-        else:
-            r[t:t + 2] = q[t:t + 2] @ a
+        r[t] = q[t] @ a
         if t + 1 == steps:
             break
-        _downdate(a, q, r, norms2, computed2, rest, t, k)
-        t += 1
-        if ahead is not None and int(np.argmax(norms2[rest])) == nxt:
-            perm[t], perm[t + nxt] = perm[t + nxt], perm[t]
-            if t + 1 == steps:
-                break
-            _downdate(a, q, r, norms2, computed2, perm[t + 1:], t, k)
-            t += 1
+        rest = perm[t + 1:]
+        resid2[rest] = np.maximum(resid2[rest] - r[t, rest] ** 2, 0.0)
+        stale = rest[(resid2[rest] <= _NORM_RECOMPUTE_TOL * computed2[rest]) & (computed2[rest] > 0)]
+        for lo in range(0, stale.size, k):
+            cols = stale[lo:lo + k]
+            resid = a[:, cols] - q[:t + 1].T @ r[:t + 1, cols]
+            resid2[cols] = computed2[cols] = np.einsum("ij,ij->j", resid, resid)
+    if steps < k:
+        perm[steps:] = perm[steps:][np.argsort(-norms2[perm[steps:]], kind="stable")]
     r = r[:steps, perm]
     r[:, :steps] = np.triu(r[:, :steps])
-    return perm, r
+    return perm, r, norms2
 
 
 def dominant_fit(a, k: int):
@@ -213,8 +131,8 @@ def dominant_fit(a, k: int):
     alone, with no Q, and follow each exchange by a rank-1 update. At most
     4k exchanges are made. When k exceeds the numerical rank of a (k above
     m included, and every k on an all-zero a), w is None, and the set
-    holds the pivots up to that rank and then the next columns of the
-    pivot order, which only rounding would rank. No random numbers are
+    holds the pivots up to that rank and then the other columns of
+    largest squared norm, ties in the QR's swap order. No random numbers are
     drawn. Raises ConfigurationError when k lies outside [1, n], and
     NumericalError when a squared column norm overflows.
     """
@@ -224,17 +142,18 @@ def dominant_fit(a, k: int):
 def _dominant_fit(a: np.ndarray, k: int):
     """``dominant_fit`` on a float matrix already checked by ``_as_matrix``, with its factor.
 
-    Returns (columns, w, perm, r_top): ``dominant_fit``'s pair, then the
-    truncated pivoted QR it started from (``_truncated_cpqr``'s pair), so
-    the caller can read the Gram statistics of the set off R.
+    Returns (columns, w, perm, r_top, norms2): ``dominant_fit``'s pair,
+    then the truncated pivoted QR it started from (``_truncated_cpqr``'s
+    triple), so the caller can read the Gram statistics of the set off R
+    and ||A||^2 off the squared column norms.
     """
     n = a.shape[1]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
-    perm, r_top = _truncated_cpqr(a, k)
+    perm, r_top, norms2 = _truncated_cpqr(a, k)
     chosen = perm[:k].copy()
     if r_top.shape[0] < k:
-        return np.sort(chosen), None, perm, r_top
+        return np.sort(chosen), None, perm, r_top, norms2
 
     w = np.empty((k, n))
     w[:, perm] = scipy.linalg.solve_triangular(r_top[:, :k], r_top)
@@ -252,4 +171,4 @@ def _dominant_fit(a: np.ndarray, k: int):
     # a chosen column's weights are the identity by definition, not by rounding
     w[:, chosen] = np.eye(k)
     order = np.argsort(chosen)
-    return chosen[order], w[order], perm, r_top
+    return chosen[order], w[order], perm, r_top, norms2

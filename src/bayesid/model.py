@@ -268,11 +268,13 @@ def init_state(
     prior means and precisions are still drawn from the hyper-prior. Only
     where K exceeds the numerical rank, and W is not defined, is Y_J drawn
     from the joint prior (``sample_prior_rows``); the set then holds the
-    pivots up to that rank and the next columns of the pivot order. The noise
-    variance is the start fit's mean squared residual over all M x N
-    entries, floored at 1e-6, computed without an M x N temporary from
-    ||A||^2 and the Gram statistics G = C^T C and P = C^T A of the basis.
-    G and P are read off the same pivoted QR (``_start_statistics``):
+    pivots up to that rank and then the other columns of largest squared
+    norm. The noise variance is the start fit's mean squared residual over
+    all M x N entries, floored at 1e-6, computed without an M x N
+    temporary from ||A||^2 and the Gram statistics G = C^T C and P = C^T A
+    of the basis. ||A||^2 is the sum of the squared column norms the
+    pivoted QR starts from, and G and P are read off the same pivoted QR
+    (``_start_statistics``):
     P's row of a chosen pivot column c is R[:, c]^T R, and G = P[:, J].
     Only columns brought in by an exchange, or filling a rank-deficient
     start, read their rows of P from the data.
@@ -282,7 +284,7 @@ def init_state(
     """
     n = data.shape[1]
     # data.values passed _as_matrix when the ObservedMatrix was made
-    j, w, perm, r_top = _dominant_fit(data.values, hp.k)
+    j, w, perm, r_top, norms2 = _dominant_fit(data.values, hp.k)
     j = j.astype(np.intp)
     if w is None:
         y, gtn_mu, gtn_tau = sample_prior_rows(hp, hp.k, n, rng)
@@ -290,7 +292,7 @@ def init_state(
         gtn_mu, gtn_tau = sample_prior_params(hp, hp.k, n, rng)
         y = np.clip(w, hp.a, hp.b)
 
-    a_sq = float(np.einsum("ij,ij->", data.values, data.values))
+    a_sq = float(norms2.sum())
     gram, proj = _start_statistics(data.values, j, perm, r_top)
     sigma2 = max(gram_rss(a_sq, y, gram, proj) / data.values.size, _SIGMA2_FLOOR)
 

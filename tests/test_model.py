@@ -290,7 +290,7 @@ class TestDominantStart:
         assert rank < k
         assert np.all(np.isin(perm[:rank], columns)), (perm[:rank], columns)
         # the factorization stops at that rank, with geqp3's pivots in order
-        fac_perm, fac_r = linalg._truncated_cpqr(a, k)
+        fac_perm, fac_r = linalg._truncated_cpqr(a, k)[:2]
         assert fac_r.shape[0] == rank
         npt.assert_array_equal(fac_perm[:rank], perm[:rank])
         return columns
@@ -301,6 +301,22 @@ class TestDominantStart:
         state = init_state(ObservedMatrix.fully_observed(a), Hyperparameters(k=6), np.random.default_rng(1))[0]
         npt.assert_array_equal(state.basis_indices, columns)
 
+    @pytest.mark.parametrize("seed", [None, 7, 44], ids=["rank-3-at-6", "rank-5-seed-7", "rank-5-seed-44"])
+    def test_rank_stop_fills_by_descending_norm(self, seed):
+        # the slots past the rank hold the other columns of largest squared
+        # norm (distinct here), not an argmax of residual norms that only
+        # rounding sets
+        if seed is None:
+            a, k = self._rank_k(5, k=3), 6
+        else:
+            rng = np.random.default_rng(seed)
+            a, k = rng.normal(size=(400, 5)) @ rng.normal(size=(5, 300)), 10
+        r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
+        rank = numerical_rank(r)
+        norms2 = np.einsum("ij,ij->j", a, a)
+        rest = sorted(set(range(a.shape[1])) - set(perm[:rank].tolist()), key=lambda c: -norms2[c])
+        npt.assert_array_equal(dominant_fit(a, k)[0], np.sort(np.r_[perm[:rank], rest[:k - rank]]))
+
     def test_pivots_unchanged_when_trailing_pivots_are_exactly_zero(self):
         a = np.zeros((8, 7))
         a[:, [1, 4]] = np.random.default_rng(7).normal(size=(8, 2))
@@ -308,8 +324,8 @@ class TestDominantStart:
         npt.assert_array_equal(dominant_fit(a, 4)[0], np.sort(perm[:4]))
 
     @staticmethod
-    def _pivot_instance(kind):
-        rng = np.random.default_rng(31)
+    def _pivot_instance(kind, seed):
+        rng = np.random.default_rng(seed)
         if kind == "tall":
             return rng.normal(size=(40, 25)), 12
         if kind == "square":
@@ -319,19 +335,45 @@ class TestDominantStart:
         if kind == "noisy-duplicated":
             # tall-gbt's construction at a tenth of its size
             return duplicated_id_matrix(100, 25, 5, rng, noise=0.05), 10
-        # graded: a shared column plus iid columns scaled by logspace(0, -12, n),
-        # shuffled. Once the shared direction is removed the residual norms are
-        # far below the first ones, so the downdated norms must be recomputed.
-        m, n = 40, 30
-        graded = np.outer(rng.normal(size=m), np.ones(n)) + rng.normal(size=(m, n)) * np.logspace(0, -12, n)
-        return graded[:, rng.permutation(n)], 24
+        if kind == "graded":
+            # a shared column plus iid columns scaled by logspace(0, -12, n),
+            # shuffled. Once the shared direction is removed the residual norms
+            # are far below the first ones, so the downdated norms must be
+            # recomputed.
+            m, n = 40, 30
+            graded = np.outer(rng.normal(size=m), np.ones(n)) + rng.normal(size=(m, n)) * np.logspace(0, -12, n)
+            return graded[:, rng.permutation(n)], 24
+        if kind == "shared-dominant":
+            # 2e8 u, twelve columns 1e8 u plus small parts of distinct norms in [1.5, 2],
+            # and seventeen of norm 1: after the first step the twelve downdated norms
+            # have lost all their digits yet stay above the rest, and only their
+            # norms recomputed from the data rank them
+            m = 40
+            u = rng.normal(size=m)
+            u /= np.linalg.norm(u)
+            small = rng.normal(size=(m, 29))
+            small *= np.r_[np.linspace(1.5, 2.0, 12)[rng.permutation(12)], np.ones(17)] / np.linalg.norm(small, axis=0)
+            small[:, :12] += 1e8 * u[:, None]
+            return np.column_stack([2e8 * u, small])[:, rng.permutation(30)], 12
+        if kind == "exact-tie":
+            # unit columns: every squared norm is exactly 1 at the first step
+            a = np.eye(20)[:, rng.permutation(20)] * rng.choice([-1.0, 1.0], size=20)
+            return np.vstack([a, np.zeros((5, 20))]), 12
+        # rank-deficient: rank 5 at k = 9
+        return rng.normal(size=(40, 5)) @ rng.normal(size=(5, 30)), 9
 
-    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "noisy-duplicated", "graded"])
-    def test_truncated_pivots_match_geqp3(self, kind):
-        a, k = self._pivot_instance(kind)
-        fac = linalg._truncated_cpqr(a, k)
-        assert fac is not None, "full-rank input took the rank-deficient branch"
-        npt.assert_array_equal(fac[0][:k], scipy.linalg.qr(a, pivoting=True)[2][:k])
+    @pytest.mark.parametrize("seed", [31, 0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", [
+        "tall", "square", "wide", "noisy-duplicated", "graded", "shared-dominant", "exact-tie",
+        "rank-deficient",
+    ])
+    def test_truncated_pivots_match_geqp3(self, kind, seed):
+        a, k = self._pivot_instance(kind, seed)
+        perm, r, _ = linalg._truncated_cpqr(a, k)
+        rank = r.shape[0]
+        geqp3_r, geqp3 = scipy.linalg.qr(a, mode="r", pivoting=True)
+        assert rank == min(k, numerical_rank(geqp3_r))
+        npt.assert_array_equal(perm[:rank], geqp3[:rank])
 
     def test_exact_ties_break_in_geqp3_swap_order(self):
         # columns 0 and 1 are equal; the first step swaps column 2 to the front
@@ -355,9 +397,11 @@ class TestDominantStart:
     def test_start_set_matches_the_full_geqp3_start(self, monkeypatch):
         a = duplicated_id_matrix(100, 25, 5, np.random.default_rng(41), noise=0.05)
         chosen = dominant_fit(a, 10)[0]
-        # the exchanges run from the pivots and R rows of a full geqp3 instead
+        # the exchanges run from the pivots, R rows and column norms of a full geqp3 instead
         r, perm = scipy.linalg.qr(a, mode="r", pivoting=True)
-        monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: (perm, r[:k]))
+        norms2 = np.empty(a.shape[1])
+        norms2[perm] = np.einsum("ij,ij->j", r, r)
+        monkeypatch.setattr(linalg, "_truncated_cpqr", lambda a, k: (perm, r[:k], norms2))
         npt.assert_array_equal(chosen, dominant_fit(a, 10)[0])
 
     def test_does_not_copy_the_matrix(self):
