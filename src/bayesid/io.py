@@ -14,14 +14,11 @@ module's default dialect (RFC 4180 quoting where needed, CRLF line ends),
 floats with 17 significant digits so a save/load round trip is exact, and
 None as an empty field. JSON goes through ``write_json`` with sorted keys.
 
-A CSV may use RFC 4180 quoting, whitespace around a field, LF, CRLF or
-lone CR line ends, and any UTF-8 text in a skipped header; a field that
-holds only whitespace is an empty field. A plain numeric file, one that
-holds only digits, ``+-.eE``, commas, spaces, tabs and line ends (and a
-header line without a quote), is parsed by numpy's C parser. Any other
-file, and any plain one the C parser refuses, is read by the csv module's
-reader (``_csv_rows``), which alone raises the parse errors; both readers
-give the same values, bit for bit, and the same mask.
+Every CSV is read through the csv module's reader (``_csv_rows``): it may
+use RFC 4180 quoting, whitespace around a field, LF, CRLF or lone CR line
+ends, and any UTF-8 text in a skipped header. A field is a number as
+Python's ``float`` reads it once stripped of whitespace, and a field that
+is empty or holds only whitespace is an unobserved entry.
 
 Every loader returns row-major arrays, and preprocessing keeps that
 layout: ``preprocess_in_place`` runs the cleaning steps on a loaded
@@ -32,6 +29,7 @@ matrix's own arrays, so a command holds the matrix once, and
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -48,7 +46,6 @@ FORMAT_CSV = "csv"
 FORMAT_MATRIX_MARKET = "matrix_market"
 
 _FLOAT_FMT = "%.17g"
-_DELETE_PLAIN = str.maketrans("", "", "0123456789+-.eE, ")
 _TRACE_BASE = ["iteration", "mse", "mse_observed", "sigma2"]
 
 # bytes of a block of rows that preprocessing copies at a time
@@ -178,106 +175,68 @@ def load_matrix(path, fmt: str | None = None, has_header: bool = False) -> Obser
     """
     path = Path(path)
     if _detect_format(path, fmt) == FORMAT_CSV:
-        return _load_csv(path, has_header)
+        return _csv_matrix(_csv_rows(path, skip=1 if has_header else 0))
     return _load_matrix_market(path)
 
 
-class _NotPlain(Exception):
-    """A line numpy's C parser must not read; the file goes to the csv-module reader."""
+def _csv_matrix(rows) -> ObservedMatrix:
+    """Stack the (line number, fields) rows of ``_csv_rows`` into an ObservedMatrix.
 
-
-def _plain_lines(fh, has_header: bool):
-    """Yield the data lines of a plain numeric CSV, with every empty field spelled ``nan``.
-
-    A tab is spelled as a space, and a field of spaces only counts as
-    empty.
-
-    Raises _NotPlain at a header line holding a quote or a NUL (the csv
-    module reads a quoted header across lines and refuses a NUL), at a
-    blank line, at a character other than digits, ``+-.eE``, commas,
-    spaces and tabs, and at the end of a file with no data line.
+    Each row becomes one array of values, with nan for an empty field; the
+    rows fill one array that grows in place, so the matrix is held once.
+    No field a row keeps can be nan, so the mask is where the values are
+    not nan.
     """
-    if has_header:
-        header = fh.readline()
-        if '"' in header or "\0" in header:
-            raise _NotPlain
-    seen = False
-    for line in fh:
-        body = line.rstrip("\r\n").replace("\t", " ")
-        if not body or body.translate(_DELETE_PLAIN):
-            raise _NotPlain
-        if " " in body:
-            # a field of spaces only is empty, as _csv_rows reads it
-            body = ",".join(field if field.strip(" ") else "" for field in body.split(","))
-        if ",," in body:
-            # two passes: the first leaves one ",," of every ",,,"
-            body = body.replace(",,", ",nan,").replace(",,", ",nan,")
-        if not body or body[0] == ",":
-            body = "nan" + body
-        if body[-1] == ",":
-            body += "nan"
-        seen = True
-        yield body
-    if not seen:
-        raise _NotPlain
-
-
-def _load_plain_csv(path: Path, has_header: bool) -> ObservedMatrix | None:
-    """Read a plain numeric CSV through ``np.loadtxt``; None for any file it must not read.
-
-    Lines stream from the open file, so no copy of the text is held. An
-    empty field reads as nan, which no plain field can spell, so the mask
-    is where the values are not nan. loadtxt converts each field with the
-    function ``float`` uses, so the values are those ``_csv_rows`` gives. A
-    file that is not plain, that loadtxt refuses (a ragged row or a field
-    that is not a number), that does not open or decode, or that holds an
-    infinite value returns None, and the caller reads it through the csv
-    module, which reports the fault.
-    """
-    try:
-        with open_input(path) as fh:
-            values = np.loadtxt(_plain_lines(fh, has_header), delimiter=",", comments=None,
-                                quotechar=None, ndmin=2)
-    except (_NotPlain, ValueError, InputError):
-        return None
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("file contains no data rows", line=1)
+    line_no, row = first
+    if not row:
+        raise ParseError("empty row", line=line_no)
+    values = np.fromiter((_row_values(*r) for r in itertools.chain([first], rows)),
+                         dtype=(float, len(row)))
     mask = np.isnan(values)
     np.copyto(values, 0.0, where=mask)
     np.logical_not(mask, out=mask)
-    # with the nans zeroed, min and max meet any infinity without an M x N temporary
-    if np.isinf(values.min()) or np.isinf(values.max()):
-        return None
     return ObservedMatrix(values=values, mask=mask)
 
 
-def _load_csv(path: Path, has_header: bool) -> ObservedMatrix:
-    plain = _load_plain_csv(path, has_header)
-    if plain is not None:
-        return plain
-    rows: list[list[float]] = []
-    mask_rows: list[list[bool]] = []
-    for line_no, row in _csv_rows(path, skip=1 if has_header else 0):
-        if not row:
-            raise ParseError("empty row", line=line_no)
-        vals, obs = [], []
-        for col_no, field in enumerate(row, start=1):
-            field = field.strip()
-            if field == "":
-                vals.append(0.0)
-                obs.append(False)
-                continue
-            try:
-                v = float(field)
-            except ValueError:
-                raise ParseError(f"not a number: {field!r}", line=line_no, column=col_no) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value {field!r}", line=line_no, column=col_no)
-            vals.append(v)
-            obs.append(True)
-        rows.append(vals)
-        mask_rows.append(obs)
-    if not rows:
-        raise ParseError("file contains no data rows", line=1)
-    return ObservedMatrix(values=np.array(rows, dtype=float), mask=np.array(mask_rows, dtype=bool))
+def _row_values(line_no: int, row: list[str]) -> np.ndarray | list[float]:
+    """One row's values, nan for an empty field, read with one numpy call.
+
+    numpy reads each string as ``float`` does. A row that call refuses (a
+    field of only whitespace among them), or one holding a field it reads as
+    nan or infinite, is read again by ``_field_values``, which reads the
+    whitespace as empty and reports any fault.
+    """
+    try:
+        vals = np.array([field or "nan" for field in row], dtype=float)
+    except ValueError:
+        return _field_values(line_no, row)
+    if np.count_nonzero(np.isfinite(vals)) + row.count("") < vals.size:
+        return _field_values(line_no, row)
+    return vals
+
+
+def _field_values(line_no: int, row: list[str]) -> list[float]:
+    """One row's values read field by field, nan for a field that is empty
+    or holds only whitespace; a field that is not a finite number raises
+    ParseError at its line and column.
+    """
+    vals = []
+    for col_no, field in enumerate(row, start=1):
+        field = field.strip()
+        if field == "":
+            vals.append(math.nan)
+            continue
+        try:
+            v = float(field)
+        except ValueError:
+            raise ParseError(f"not a number: {field!r}", line=line_no, column=col_no) from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value {field!r}", line=line_no, column=col_no)
+        vals.append(v)
+    return vals
 
 
 def _load_matrix_market(path: Path) -> ObservedMatrix:
@@ -519,7 +478,8 @@ def read_trace_csv(path) -> GibbsTrace:
 
     The file does not record swaps, so ``accepted_swaps`` is None.
     """
-    header = next(_csv_rows(path), (None, None))[1]
+    rows = _csv_rows(path)
+    header = next(rows, (None, None))[1]
     if header is None:
         raise ParseError("empty trace file", line=1)
     if header[: len(_TRACE_BASE)] != _TRACE_BASE:
@@ -530,13 +490,12 @@ def read_trace_csv(path) -> GibbsTrace:
         if len(m) != 2 or not all(p.isdigit() for p in m) or not name.startswith("y_r"):
             raise ParseError(f"unexpected probe column {name!r}", line=1)
         probes.append((int(m[0]), int(m[1])))
-    data = _load_csv(Path(path), has_header=True)
-    if data.shape[1] != len(header):
-        raise ParseError(f"expected {len(header)} fields, found {data.shape[1]}", line=2)
+    # the header set the rows' width, so a data row of another width is refused at its line
+    data = _csv_matrix(rows)
     if not data.mask.all():
         row, col = np.argwhere(~data.mask)[0]
-        line_no = next(no for r, (no, _) in enumerate(_csv_rows(path, skip=1)) if r == row)
-        raise ParseError("empty field in a trace", line=line_no, column=int(col) + 1)
+        # the header is row 1 of _csv_rows
+        raise ParseError("empty field in a trace", line=int(row) + 2, column=int(col) + 1)
     arr = data.values
     return GibbsTrace(
         mse_per_iter=arr[:, 1],

@@ -282,9 +282,9 @@ def sample_state_vector(
     rng: np.random.Generator,
     gram: np.ndarray,
     proj: np.ndarray,
+    a_sq: float,
+    rss: float,
     debug_checks: bool = False,
-    a_sq: float | None = None,
-    rss: float | None = None,
 ) -> bool:
     """One uniform (slot, column) swap proposal, accepted with odds/(1 + odds).
 
@@ -301,16 +301,16 @@ def sample_state_vector(
 
     The draws come in one order: s, i, the incoming row (with its prior
     under gbtn), then the uniform u; the swap is accepted when u <
-    sigmoid(log odds). Given ``a_sq`` = ||A||^2 and ``rss`` = ||R||^2, the
+    sigmoid(log odds). From ``a_sq`` = ||A||^2 and ``rss`` = ||R||^2, the
     Gram loss of the current state, the move first reads an upper bound
     on the log odds in O(M + N) (``_swap_log_odds_bound``): with D = x_out
     y_out^T - x_i y_in^T the loss grows by at least ||D|| (||D|| - 2
     ||R||). When u >= sigmoid(bound) the swap is rejected without the
-    O(MN) product of ``state_swap_log_odds``. Otherwise, and always when
-    ``rss`` is None, the odds are computed in full. Either way the draws,
-    the decision and the state are those of the full computation. Debug
-    mode recomputes the odds from both residuals for every early rejection
-    and raises NumericalError if u would have accepted.
+    O(MN) product of ``state_swap_log_odds``; otherwise the odds are
+    computed in full. Either way the draws, the decision and the state are
+    those of the full computation. Debug mode recomputes the odds from both
+    residuals for every early rejection and raises NumericalError if u
+    would have accepted.
 
     Returns whether the swap was accepted. With K = N there is nothing to
     swap, no random number is drawn and the state is returned unchanged.
@@ -322,9 +322,7 @@ def sample_state_vector(
     i = int(inactive[rng.integers(inactive.size)])
     y_in, mu_in, tau_in = sample_prior_rows(hp, 1, state.y.shape[1], rng)
     u = rng.uniform()
-    if rss is not None and u >= _sigmoid(
-        _swap_log_odds_bound(state, data, gram, proj, s, i, y_in[0], a_sq, rss)
-    ):
+    if u >= _sigmoid(_swap_log_odds_bound(state, data, gram, proj, s, i, y_in[0], a_sq, rss)):
         if debug_checks:
             full = state_swap_log_odds(state, data, s, i, y_in[0], full_recompute=True)
             if u < _sigmoid(full):
@@ -576,8 +574,7 @@ def run_gibbs(
         # the next sweep
         uy = np.triu(gram, 1) @ state.y
         rss = gram_rss(a_sq, state.y, gram, proj, uy)
-        if sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=debug_checks,
-                               a_sq=a_sq, rss=rss):
+        if sample_state_vector(state, data, hp, rng, gram, proj, a_sq, rss, debug_checks=debug_checks):
             rec.swaps += 1
             uy = None
             rss = gram_rss(a_sq, state.y, gram, proj)

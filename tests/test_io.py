@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -84,102 +85,149 @@ class TestCsvFormat:
         npt.assert_array_equal(back.mask, mask)
 
 
-# (id, file bytes, has_header, whether numpy's C parser reads the file)
+# (id, file bytes, has_header)
 _CSV_CASES = [
-    ("lf", b"1,2\n3,4\n", False, True),
-    ("crlf", b"1,2\r\n3,4\r\n", False, True),
-    ("lone-cr", b"1,2\r3,4\r", False, True),
-    ("no-final-newline", b"1,2\n3,4", False, True),
-    ("mixed-line-ends", b"1,2\r\n3,4\n5,6\r7,8", False, True),
-    ("blank-line-mid-file", b"1,2\n\n3,4\n", False, False),
-    ("blank-line-at-end", b"1,2\n3,4\n\n", False, False),
-    ("empty-fields", b",1,,,2,\n3,,4,5,6,\n,,,,,\n", False, True),
-    ("one-column-blank-line", b"1\n\n3\n", False, False),
-    ("one-column-empty-field", b'1\n""\n3\n', False, False),
-    ("one-column-spaces-field", b"1\n  \n3\n", False, True),
-    ("one-column", b"1\n-2.5\n3e2\n", False, True),
-    ("one-row", b"1,2,3", False, True),
-    ("quoted-numbers", b'"1.5",2\n3,"-4e1"\n', False, False),
-    ("quoted-empty-field", b'1,""\n3,4\n', False, False),
-    ("spaces-only-fields", b"1,  ,3\n4,5, \n", False, True),
-    ("surrounding-spaces", b" 1.5 , -2 \n3,  4\n", False, True),
-    ("tab-around-field", b"1,\t2\n3,4\n", False, True),
-    ("tab-only-field", b"1,\t\n\t 3 \t,4\n", False, True),
-    ("tab-inside-field", b"1,2\t3\n4,5\n", False, False),
-    ("space-inside-field", b"1,2 3\n4,5\n", False, False),
-    ("nan", b"1,nan\n3,4\n", False, False),
-    ("inf", b"inf,2\n3,4\n", False, False),
-    ("overflow", b"1,2\n3,1e999\n", False, False),
-    ("negative-overflow", b"1,-1e999\n3,4\n", False, False),
-    ("underflow", b"1e-999,2\n", False, True),
-    ("underscore", b"1_0,2\n3,4\n", False, False),
-    ("lone-sign-and-point", b"1,-\n.,4\n", False, False),
-    ("signs-and-points", b"+.5,1.,-0,+0e-0\n", False, True),
-    ("letters", b"1,2\n3,oops\n", False, False),
-    ("ragged", b"1,2,3\n4,5\n", False, False),
-    ("ragged-empty-tail", b"1,2,3\n4,5,\n6,7\n", False, False),
-    ("empty-file", b"", False, False),
-    ("bom", b"\xef\xbb\xbf1,2\n3,4\n", False, False),
-    ("bom-in-header", b"\xef\xbb\xbfa,b\n1,2\n", True, True),
-    ("invalid-utf8", b"1,2\n\xff,4\n", False, False),
-    ("invalid-utf8-late", b"1,2\n" * 3000 + b"\xff,4\n", False, False),
-    ("invalid-utf8-in-header", b"a\xff,b\n1,2\n", True, False),
-    ("header", b"colA,colB\n1.5,-2\n", True, True),
-    ("header-only", b"colA,colB\n", True, False),
-    ("header-crlf-with-empty-fields", b"a,b,c\r\n1,,3\r\n,5,\r\n", True, True),
-    ("quoted-header", b'"a","b"\n1,2\n', True, False),
-    ("quoted-header-two-lines", b'"col\nA",colB\n1,2\n', True, False),
-    ("unclosed-quote-header", b'"a\n1,2\n3,4\n', True, False),
+    ("lf", b"1,2\n3,4\n", False),
+    ("crlf", b"1,2\r\n3,4\r\n", False),
+    ("lone-cr", b"1,2\r3,4\r", False),
+    ("no-final-newline", b"1,2\n3,4", False),
+    ("mixed-line-ends", b"1,2\r\n3,4\n5,6\r7,8", False),
+    ("blank-line-mid-file", b"1,2\n\n3,4\n", False),
+    ("blank-line-at-end", b"1,2\n3,4\n\n", False),
+    ("empty-fields", b",1,,,2,\n3,,4,5,6,\n,,,,,\n", False),
+    ("one-column-blank-line", b"1\n\n3\n", False),
+    ("one-column-empty-field", b'1\n""\n3\n', False),
+    ("one-column-spaces-field", b"1\n  \n3\n", False),
+    ("one-column", b"1\n-2.5\n3e2\n", False),
+    ("one-row", b"1,2,3", False),
+    ("quoted-numbers", b'"1.5",2\n3,"-4e1"\n', False),
+    ("quoted-empty-field", b'1,""\n3,4\n', False),
+    ("spaces-only-fields", b"1,  ,3\n4,5, \n", False),
+    ("surrounding-spaces", b" 1.5 , -2 \n3,  4\n", False),
+    ("tab-around-field", b"1,\t2\n3,4\n", False),
+    ("tab-only-field", b"1,\t\n\t 3 \t,4\n", False),
+    ("tab-inside-field", b"1,2\t3\n4,5\n", False),
+    ("space-inside-field", b"1,2 3\n4,5\n", False),
+    ("nan", b"1,nan\n3,4\n", False),
+    ("inf", b"inf,2\n3,4\n", False),
+    ("overflow", b"1,2\n3,1e999\n", False),
+    ("negative-overflow", b"1,-1e999\n3,4\n", False),
+    ("underflow", b"1e-999,2\n", False),
+    ("underscore", b"1_0,2\n3,4\n", False),
+    ("lone-sign-and-point", b"1,-\n.,4\n", False),
+    ("signs-and-points", b"+.5,1.,-0,+0e-0\n", False),
+    ("letters", b"1,2\n3,oops\n", False),
+    ("ragged", b"1,2,3\n4,5\n", False),
+    ("ragged-empty-tail", b"1,2,3\n4,5,\n6,7\n", False),
+    ("empty-file", b"", False),
+    ("bom", b"\xef\xbb\xbf1,2\n3,4\n", False),
+    ("bom-in-header", b"\xef\xbb\xbfa,b\n1,2\n", True),
+    ("invalid-utf8", b"1,2\n\xff,4\n", False),
+    ("invalid-utf8-late", b"1,2\n" * 3000 + b"\xff,4\n", False),
+    ("invalid-utf8-in-header", b"a\xff,b\n1,2\n", True),
+    ("header", b"colA,colB\n1.5,-2\n", True),
+    ("header-only", b"colA,colB\n", True),
+    ("header-crlf-with-empty-fields", b"a,b,c\r\n1,,3\r\n,5,\r\n", True),
+    ("quoted-header", b'"a","b"\n1,2\n', True),
+    ("quoted-header-two-lines", b'"col\nA",colB\n1,2\n', True),
+    ("unclosed-quote-header", b'"a\n1,2\n3,4\n', True),
     ("hard-rounding", b"2.2250738585072011e-308,9007199254740993,5e-324,2.4703282292062328e-324\n"
      b"1.00000000000000011102230246251565404236316680908203125,0.30000000000000001665,"
-     b"9007199254740991.5,4.9406564584124654e-324\n", False, True),
+     b"9007199254740991.5,4.9406564584124654e-324\n", False),
     ("halfway-17-digit", b"1.0000000000000001,0.10000000000000001,123456789012345678,"
-     b"1.7976931348623157e308\n", False, True),
+     b"1.7976931348623157e308\n", False),
+    ("quoted-field-last-line", b'1,,2\n3,4,\n"5",6,\n', False),
+    ("nan-beside-empty-field", b"1,,nan\n3,4,5\n", False),
+    ("unicode-digits", "\u0661\u0662,\uff13\n4,5\n".encode(), False),
+    ("no-break-space-field", "1,\u00a0\n3,4\n".encode(), False),
+    ("control-whitespace-around-field", b"\x1c1\x1c,2\n3,4\n", False),
+    ("nul-in-field", b"1\x00,2\n3,4\n", False),
+    ("quoted-comma", b'1,"2,5"\n3,4\n', False),
+    ("blank-first-line", b"\n1,2\n3,4\n", False),
 ]
 
 
+def _reference_read(path, has_header):
+    """The csv-module reader, field by field: csv.reader rows of one width,
+    each field stripped and read by ``float``, an empty one unobserved."""
+    values, mask, width = [], [], None
+    with io.open_input(path) as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if has_header and line_no == 1:
+                continue
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"expected {width} fields, found {len(row)}", line=line_no)
+            if not row:
+                raise ParseError("empty row", line=line_no)
+            for col_no, field in enumerate(row, start=1):
+                field = field.strip()
+                if field == "":
+                    values.append(0.0)
+                    mask.append(False)
+                    continue
+                try:
+                    v = float(field)
+                except ValueError:
+                    raise ParseError(f"not a number: {field!r}", line=line_no, column=col_no) from None
+                if not math.isfinite(v):
+                    raise ParseError(f"non-finite value {field!r}", line=line_no, column=col_no)
+                values.append(v)
+                mask.append(True)
+    if width is None:
+        raise ParseError("file contains no data rows", line=1)
+    return ObservedMatrix(values=np.array(values).reshape(-1, width),
+                          mask=np.array(mask, dtype=bool).reshape(-1, width))
+
+
+def _count_opens(monkeypatch):
+    """Record the path of every file ``io`` opens for reading from now on."""
+    opened = []
+    open_input = io.open_input
+    monkeypatch.setattr(io, "open_input", lambda path: opened.append(path) or open_input(path))
+    return opened
+
+
 class TestCsvReaderEquivalence:
-    """Every CSV gives what the csv-module reader (``_csv_rows``) gives: the
-    same value bits and mask, or the same error, message and location."""
+    """Every CSV gives what the field-by-field reference gives: the same
+    value bits and mask, or the same error, message and location."""
 
     @staticmethod
-    def _outcome(path, has_header):
+    def _outcome(read, path, has_header):
         try:
-            data = load_matrix(path, has_header=has_header)
+            data = read(path, has_header=has_header)
         except (ParseError, InputError) as exc:
             return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
         return data.values.view(np.uint64).tolist(), data.mask.tolist()
 
-    @pytest.mark.parametrize("text, has_header, plain", [c[1:] for c in _CSV_CASES],
-                             ids=[c[0] for c in _CSV_CASES])
-    def test_same_result_as_csv_module_reader(self, tmp_path, monkeypatch, text, has_header, plain):
+    @pytest.mark.parametrize("text, has_header", [c[1:] for c in _CSV_CASES], ids=[c[0] for c in _CSV_CASES])
+    def test_same_result_as_csv_module_reader(self, tmp_path, text, has_header):
         p = tmp_path / "a.csv"
         p.write_bytes(text)
-        assert (io._load_plain_csv(p, has_header) is not None) == plain
-        got = self._outcome(p, has_header)
-        monkeypatch.setattr(io, "_load_plain_csv", lambda path, has_header: None)
-        assert got == self._outcome(p, has_header)
+        assert self._outcome(load_matrix, p, has_header) == self._outcome(_reference_read, p, has_header)
 
-    def test_spaces_only_fields_are_read_once(self, tmp_path, monkeypatch):
-        p = tmp_path / "a.csv"
-        p.write_bytes(b"1,  ,3\r\n ,5, \r\n7, 8 ,\r\n")
-        read = []
-        rows = io._csv_rows
-        monkeypatch.setattr(io, "_csv_rows", lambda *args, **kw: read.append(args) or rows(*args, **kw))
-        data = load_matrix(p)
-        assert read == []
-        npt.assert_array_equal(data.values, [[1.0, 0.0, 3.0], [0.0, 5.0, 0.0], [7.0, 8.0, 0.0]])
-        npt.assert_array_equal(data.mask, [[True, False, True], [False, True, False], [True, True, False]])
+    def test_reads_each_file_once(self, tmp_path, monkeypatch):
+        opened = _count_opens(monkeypatch)
+        for name, text, has_header in _CSV_CASES:
+            p = tmp_path / f"{name}.csv"
+            p.write_bytes(text)
+            self._outcome(load_matrix, p, has_header)
+            assert opened == [p], name
+            opened.clear()
 
-    def test_workload_shaped_file_takes_the_c_parser(self, tmp_path):
+    def test_workload_shaped_file_reads_no_row_field_by_field(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(331)
         mask = rng.uniform(size=(50, 40)) >= 0.1
         values = np.where(mask, rng.normal(size=mask.shape) * 10.0 ** rng.integers(-5, 5, mask.shape), 0.0)
         p = tmp_path / "a.csv"
         p.write_text("".join(",".join("%.17g" % v if o else "" for v, o in zip(vals, obs)) + "\n"
                              for vals, obs in zip(values.tolist(), mask.tolist())))
-        data = io._load_plain_csv(p, False)
-        assert data is not None
+        slow = []
+        field_values = io._field_values
+        monkeypatch.setattr(io, "_field_values", lambda *args: slow.append(args) or field_values(*args))
+        data = load_matrix(p)
+        assert slow == []
         npt.assert_array_equal(data.values.view(np.uint64), values.view(np.uint64))
         npt.assert_array_equal(data.mask, mask)
 
@@ -642,6 +690,13 @@ class TestTraceCsv:
         assert back.accepted_swaps is None
         # the iteration column is written 1-based but not returned
         npt.assert_array_equal(np.loadtxt(p, delimiter=",", skiprows=1, usecols=0), np.arange(1, 13))
+
+    def test_reads_the_file_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "trace.csv"
+        write_trace_csv(p, self._trace())
+        opened = _count_opens(monkeypatch)
+        read_trace_csv(p)
+        assert opened == [p]
 
     def test_write_is_deterministic(self, tmp_path):
         trace = self._trace()

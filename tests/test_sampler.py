@@ -116,7 +116,9 @@ class TestWeightEntryParams:
         monkeypatch.setattr(sampler, "sample_prior_rows", spy)
         _force_accept(monkeypatch)
         before = state.j.copy()
-        assert sample_state_vector(state, data, hp, rng, *gram_statistics(data.values, state.j))
+        gram, proj = gram_statistics(data.values, state.j)
+        a_sq = float(np.sum(data.values**2))
+        assert sample_state_vector(state, data, hp, rng, gram, proj, a_sq, gram_rss(a_sq, state.y, gram, proj))
         s = int(np.flatnonzero(state.j != before)[0])
         (y_in, mu_in, tau_in), = drawn
         assert y_in.shape == mu_in.shape == tau_in.shape == (1, 4)
@@ -255,10 +257,11 @@ class TestStateSwap:
         )
         rng = np.random.default_rng(149)
         gram, proj = gram_statistics(data.values, state.j)
+        a_sq = float(np.sum(data.values**2))
         accepted = 0
         trials = 10_000
         for _ in range(trials):
-            if sample_state_vector(state, data, hp, rng, gram, proj):
+            if sample_state_vector(state, data, hp, rng, gram, proj, a_sq, gram_rss(a_sq, state.y, gram, proj)):
                 accepted += 1
             assert np.unique(state.j).size == 2
         assert abs(accepted / trials - 0.5) <= 0.02
@@ -338,8 +341,10 @@ class TestStateSwap:
         rng = np.random.default_rng(157)
         data, hp, state = frozen_state(6, 5, 2, rng)
         gram, proj = gram_statistics(data.values, state.j)
+        a_sq = float(np.sum(data.values**2))
         for _ in range(30):
-            sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=True)
+            sample_state_vector(state, data, hp, rng, gram, proj, a_sq, gram_rss(a_sq, state.y, gram, proj),
+                                debug_checks=True)
 
     def test_swap_requires_valid_pair(self):
         data, state, rows = _exact_state()
@@ -352,16 +357,21 @@ class TestStateSwap:
         rng = np.random.default_rng(163)
         data, hp, state = frozen_state(4, 3, 3, rng)
         j_before = state.j.copy()
-        assert sample_state_vector(state, data, hp, rng, *gram_statistics(data.values, state.j)) is False
+        gram, proj = gram_statistics(data.values, state.j)
+        a_sq = float(np.sum(data.values**2))
+        rss = gram_rss(a_sq, state.y, gram, proj)
+        assert sample_state_vector(state, data, hp, rng, gram, proj, a_sq, rss) is False
         npt.assert_array_equal(state.j, j_before)
 
     def test_maintained_gram_statistics_stay_current(self):
         rng = np.random.default_rng(167)
         data, hp, state = frozen_state(6, 5, 2, rng)
         gram, proj = gram_statistics(data.values, state.j)
+        a_sq = float(np.sum(data.values**2))
         accepted = 0
         for _ in range(60):
-            accepted += sample_state_vector(state, data, hp, rng, gram=gram, proj=proj)
+            rss = gram_rss(a_sq, state.y, gram, proj)
+            accepted += sample_state_vector(state, data, hp, rng, gram, proj, a_sq, rss)
         assert accepted > 0
         fresh_gram, fresh_proj = gram_statistics(data.values, state.j)
         npt.assert_allclose(gram, fresh_gram, atol=1e-10)
@@ -391,10 +401,10 @@ class TestGramStatistics:
         _force_accept(monkeypatch)
         move = sampler.sample_state_vector
 
-        def stale_move(state, data, hp, rng, gram=None, proj=None, debug_checks=False, a_sq=None, rss=None):
+        def stale_move(state, data, hp, rng, gram, proj, a_sq, rss, debug_checks=False):
             stats = {"gram": gram, "proj": proj}
             stats[stale] = stats[stale].copy()
-            return move(state, data, hp, rng, debug_checks=debug_checks, a_sq=a_sq, rss=rss, **stats)
+            return move(state, data, hp, rng, a_sq=a_sq, rss=rss, debug_checks=debug_checks, **stats)
 
         monkeypatch.setattr(sampler, "sample_state_vector", stale_move)
         rng = np.random.default_rng(173)
@@ -968,7 +978,7 @@ class TestEarlyRejection:
                 return draw
 
         rss = gram_rss(a_sq, state.y, gram, proj)
-        sample_state_vector(state, data, hp, Recording(), gram, proj, a_sq=a_sq, rss=rss)
+        sample_state_vector(state, data, hp, Recording(), gram, proj, a_sq, rss)
         prior = [("normal", (1, 20)), ("gamma", (1, 20))] if variant == "gbtn" else []
         assert calls == [("integers", None), ("integers", None), *prior, ("uniform", (1, 20)), ("uniform", None)]
 
@@ -982,7 +992,7 @@ class TestEarlyRejection:
         calls = _spy_full_odds(monkeypatch)
         for _ in range(proposals):
             rss = gram_rss(a_sq, state.y, gram, proj)
-            sample_state_vector(state, data, hp, rng, gram, proj, debug_checks=True, a_sq=a_sq, rss=rss)
+            sample_state_vector(state, data, hp, rng, gram, proj, a_sq, rss, debug_checks=True)
         return calls
 
     def test_debug_checks_pass_every_rejection_of_the_bound(self, monkeypatch):
