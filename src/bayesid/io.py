@@ -68,15 +68,17 @@ def open_input(path):
 
 
 def _csv_rows(path, skip: int = 0):
-    """Yield (1-based line number, fields) for each row after the first ``skip``.
+    """Yield (1-based line number, fields) for each row after the first ``skip`` rows.
 
-    Every yielded row must have as many fields as the first one.
+    The line number is the physical line the row ends on, so a quoted field
+    that spans lines moves the numbers of the rows after it. Every yielded
+    row must have as many fields as the first one.
     """
     width = None
     with open_input(path) as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if line_no <= skip:
-                continue
+        reader = csv.reader(fh)
+        for row in itertools.islice(reader, skip, None):
+            line_no = reader.line_num
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -171,7 +173,8 @@ def load_matrix(path, fmt: str | None = None, has_header: bool = False) -> Obser
 
     ``fmt`` is inferred from the extension when not given (.mtx/.mm mean
     MatrixMarket). ``has_header`` skips the first CSV row. Parse problems
-    raise ParseError carrying the 1-based line (and field) location.
+    raise ParseError carrying the 1-based physical line (and field)
+    location.
     """
     path = Path(path)
     if _detect_format(path, fmt) == FORMAT_CSV:
@@ -491,11 +494,12 @@ def read_trace_csv(path) -> GibbsTrace:
             raise ParseError(f"unexpected probe column {name!r}", line=1)
         probes.append((int(m[0]), int(m[1])))
     # the header set the rows' width, so a data row of another width is refused at its line
-    data = _csv_matrix(rows)
+    # each data row's line, noted as it is read, locates an empty field
+    lines = []
+    data = _csv_matrix(lines.append(line_no) or (line_no, row) for line_no, row in rows)
     if not data.mask.all():
         row, col = np.argwhere(~data.mask)[0]
-        # the header is row 1 of _csv_rows
-        raise ParseError("empty field in a trace", line=int(row) + 2, column=int(col) + 1)
+        raise ParseError("empty field in a trace", line=lines[row], column=int(col) + 1)
     arr = data.values
     return GibbsTrace(
         mse_per_iter=arr[:, 1],

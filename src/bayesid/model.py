@@ -207,7 +207,7 @@ def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray,
 
     ``a_sq`` is ||A||^2. <Y_J, G Y_J> is read as 2<Y_J, U Y_J> + sum_s
     G_ss ||Y_s||^2, with U = triu(G, 1); ``uy`` is U Y_J when the caller
-    has it (the gbt sweep starts from it), and is formed here otherwise.
+    has it (the weight sweep starts from it), and is formed here otherwise.
     The terms cancel near an exact fit, leaving a rounding error of order
     eps * (||A||^2 + ||C Y_J||^2); the result is floored at 0. The error
     does not accumulate across iterations, because each evaluation reads

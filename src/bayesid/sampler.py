@@ -11,10 +11,11 @@ the sufficient statistics G = C^T C and P = C^T A of the basis C = A[:, J]
 for the whole run (as in Schmidt, Winther & Hansen's Bayesian NMF sampler,
 ICA 2009):
 
-* a weight sweep reads ``P - G @ Y_J`` a row at a time, O(K^2 N);
+* a weight sweep solves lower-triangular K x K systems whose right-hand
+  sides start from ``P - U @ Y_J``, with U = triu(G, 1), O(K^2 N);
 * the loss is ||A||^2 - 2<Y_J, P> + <Y_J, G Y_J>, O(K^2 N), read through
-  U Y_J with U = triu(G, 1), the product the next gbt sweep starts from,
-  so an iteration forms one K x K x N product beside the sweep's solve;
+  the same U Y_J, which the next sweep then starts from, so an iteration
+  forms one K x K x N product beside the sweep's solve;
 * a swap proposal first bounds its log odds from ||R||^2 (the loss) and
   ||D||^2 (read from G, P and one column), O(M + N), and rejects at once
   when the bound already decides (early rejection; Solonen et al.,
@@ -41,16 +42,19 @@ redrawn from their truncated normal (exact; see ``_sweep_weights``). Once
 the chain is near its posterior few entries fall outside, so an entry
 costs about one normal draw rather than an inverse-CDF evaluation.
 
-Under gbt every column shares each row's conditional precision, so the
-whole systematic scan is one K x K lower-triangular solve with N
-right-hand sides (``_sweep_triangular``): the proposals of all K rows are
-the Gauss-Seidel forward substitution on one pre-drawn K x N block of
-normals. It stays exact because an out-of-bounds entry is redrawn only
-once the rows above it in its column are final, from its conditional mean
-given them, and the change is then carried into the rows below; the
-repairs run in rounds, one ``sample_gtn_array`` call each, over every
-column at once. Under gbtn the prior precisions differ along a row, and
-the rows are drawn one at a time.
+Both variants' scans are one Gauss-Seidel system (``_sweep_weights``):
+the proposals of the K rows in column l solve tril(G, -1) + diag(D_l),
+with D_l the column's conditional precisions times sigma^2, on a
+right-hand side built once per sweep, for all N columns, from one
+pre-drawn K x N block of normals. It stays exact because an
+out-of-bounds entry is redrawn only once the rows above it in its column
+are final, from its conditional mean given them. Under gbt every column
+shares each row's conditional precision, so the system is solved through
+one triangular inverse, and the repairs run in rounds, one
+``sample_gtn_array`` call each, over every column at once, each carrying
+its change into the rows below. Under gbtn the prior precisions differ
+along a row, and the rows are solved by forward substitution, one row and
+its redraws at a time.
 
 All conditionals are evaluated in the log domain. Each conditional has one
 sampler, the vectorised one the loop runs. The entrywise functions
@@ -352,24 +356,7 @@ def sample_state_vector(
 # full sweeps
 
 
-def _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s):
-    """Posterior (mean, precision) of row s of Y_J given the other rows, from G and P.
-
-    The likelihood term of row s, x_s^T (resid + x_s y_s), is P[s] -
-    G[s] @ Y_J + G[s, s] Y_J[s], so this costs O(KN) and reads neither the
-    data nor the residual. The prior arrays may be 0-d (gbt), which leaves
-    the precision 0-d, or K x N (gbtn).
-    """
-    if np.ndim(gtn_mu):
-        gtn_mu, gtn_tau = gtn_mu[s], gtn_tau[s]
-    g = gram[s, s]
-    like = proj[s] - gram[s] @ y + g * y[s]
-    tau_post = g / sigma2 + gtn_tau
-    mu_post = (like / sigma2 + gtn_tau * gtn_mu) / tau_post
-    return mu_post, tau_post
-
-
-def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng, uy=None) -> None:
+def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng, uy) -> None:
     """One systematic Gibbs scan over every entry of Y_J, in place, in slot order.
 
     Each entry is drawn normal-first: a plain normal N(mu, 1/tau) from its
@@ -382,71 +369,56 @@ def _sweep_weights(y, gram, proj, sigma2, gtn_mu, gtn_tau, a, b, rng, uy=None) -
     truncated density. Within a row the entries are conditionally
     independent.
 
-    When each row's precision is shared by its columns (gbt, or a K x N
-    prior constant along rows) the whole scan is ``_sweep_triangular``:
-    one K x N block of normals, one triangular solve and vectorised repair
-    rounds, O(K^2 N). Its proposals are the Gauss-Seidel solve, which is
-    what the row-by-row scan proposes on the same normals, and each repair
-    redraws from the entry's conditional mean given the final rows above
-    it, so it leaves Y_J where the row-by-row scan would. Otherwise (gbtn's
-    per-entry precisions) the rows are drawn one at a time from
-    ``_weight_row_params``, O(KN) each. ``uy``, when given, is triu(G, 1)
-    @ Y_J for the current Y_J; the triangular scan starts from it and
-    overwrites it.
-    """
-    tau = np.asarray(gtn_tau)
-    if tau.ndim == 0 or np.all(tau == tau[:, :1]):
-        _sweep_triangular(y, gram, proj, sigma2, gtn_mu, tau if tau.ndim == 0 else tau[:, :1], a, b, rng, uy)
-        return
-    for s in range(y.shape[0]):
-        mu_post, tau_post = _weight_row_params(y, gram, proj, sigma2, gtn_mu, gtn_tau, s)
-        row = rng.standard_normal(mu_post.shape)
-        row /= np.sqrt(tau_post)
-        row += mu_post
-        out = (row < a) | (row > b)
-        if out.any():
-            row[out] = sample_gtn_array(mu_post[out], tau_post[out], a, b, rng)
-        y[s] = row
-
-
-def _sweep_triangular(y, gram, proj, sigma2, gtn_mu, prior_tau, a, b, rng, uy=None) -> None:
-    """The scan of ``_sweep_weights`` when row s has one precision for all its columns.
-
-    ``prior_tau`` is 0-d or K x 1. With D = diag(G) + sigma^2 tau_0 and sd_s
-    = sigma / sqrt(D_s), row s's normal-first proposal, given the final
-    rows before it, solves
+    With D = diag(G) + sigma^2 tau_0 (K x 1 under gbt, K x N under gbtn's
+    per-entry precisions) and sd = sigma / sqrt(D), row s's proposal, given
+    the final rows before it, solves
 
         sum_{t<s} G_st y_t + D_s y_s = P_s - sum_{t>s} G_st y_t^old
                                        + sigma^2 tau_0 mu_0 + D_s sd_s z_s,
 
-    so all K proposals at once solve one K x K lower-triangular system M Y =
-    R, with M = tril(G, -1) + diag(D) and N right-hand sides: the
+    so the K proposals of column l solve the lower-triangular system
+    tril(G, -1) + diag(D_l) on that column of one right-hand side R: the
     Gauss-Seidel solve with a noise term (Goodman & Sokal, Phys. Rev. D
-    1989; Fox & Parker, Bernoulli 2017). It is solved as M^-1 R, through
-    the triangular inverse the repairs read too, and the normals z of the
-    whole sweep are drawn as one K x N block. The right-hand side starts
-    from ``uy`` = triu(G, 1) @ Y_J when the caller has it, in place.
+    1989; Fox & Parker, Bernoulli 2017). R is built once, for either
+    variant, from ``uy`` = triu(G, 1) @ Y_J, which it overwrites, and from
+    one K x N block of normals z. Every entry ends as the sequential scan
+    would leave it on the same normals: an entry outside [a, b] is redrawn
+    only once the rows above it in its column are final, when its
+    conditional mean is the proposal minus its own noise sd_s z_s.
 
-    A proposal outside [a, b] is exact only while the rows before it are
-    final, so the repairs run in rounds. Each round takes every column's
-    first entry out of bounds; the rows above it are final, so its
-    conditional mean is the proposal minus its own noise term sd_s z_s,
-    and all of them are redrawn in one ``sample_gtn_array`` call. The
-    change d of entry (s, l) moves the solution of the rows below it by
-    d M_ss M^-1[s+1:, s], which is the proposal those rows would have made
-    given the new y_s on the same normals; only those columns are checked
-    again. Every entry therefore ends as the sequential scan would leave it
-    on the same normals.
+    When every column shares D (gbt, or a K x N prior constant along rows),
+    all N columns are one system M Y = R, M = tril(G, -1) + diag(D), solved
+    as M^-1 R, and the repairs run in rounds, one ``sample_gtn_array`` call
+    each, over every column at once: each round redraws every column's
+    first entry out of bounds, and the change d of entry (s, l) moves the
+    rows below it by d M_ss M^-1[s+1:, s], the proposals they would have
+    made given the new y_s on the same normals; only those columns are
+    checked again. Otherwise the rows are solved by forward substitution,
+    O(KN) each, and since the rows above are final, a row's entries
+    outside [a, b] are redrawn at once.
     """
     k = y.shape[0]
-    diag = gram.diagonal() + np.ravel(sigma2 * prior_tau)
+    prior_tau = np.asarray(gtn_tau)
+    shared = prior_tau.ndim == 0 or np.all(prior_tau == prior_tau[:, :1])
+    if shared and prior_tau.ndim:
+        prior_tau = prior_tau[:, :1]
+    diag = gram.diagonal()[:, None] + sigma2 * prior_tau
     tau_post = diag / sigma2
     sd = 1.0 / np.sqrt(tau_post)
     z = rng.standard_normal(y.shape)
-    rhs = np.triu(gram, 1) @ y if uy is None else uy
-    np.subtract(proj, rhs, out=rhs)
+    rhs = np.subtract(proj, uy, out=uy)
     rhs += (sigma2 * prior_tau) * gtn_mu
-    rhs += (diag * sd)[:, None] * z
+    rhs += (diag * sd) * z
+    if not shared:
+        for s in range(k):
+            row = y[s]
+            np.subtract(rhs[s], gram[s, :s] @ y[:s], out=row)
+            row /= diag[s]
+            out = (row < a) | (row > b)
+            if out.any():
+                row[out] = sample_gtn_array(row[out] - sd[s, out] * z[s, out], tau_post[s, out], a, b, rng)
+        return
+    diag, tau_post, sd = diag[:, 0], tau_post[:, 0], sd[:, 0]
     lower = np.tril(gram, -1)
     lower.flat[:: k + 1] = diag
     # M^T is Fortran-ordered and upper triangular, so LAPACK inverts it in place
@@ -558,8 +530,9 @@ def run_gibbs(
     rec = _TraceRecorder(hp.iterations, _choose_probes(hp.k, data.shape[1], rng), data)
 
     values = data.values
-    rss = gram_rss(a_sq, state.y, gram, proj)
-    uy = None  # triu(G, 1) @ Y_J, when current
+    # U Y_J with U = triu(G, 1): the loss reads it and the next sweep starts from it
+    uy = np.triu(gram, 1) @ state.y
+    rss = gram_rss(a_sq, state.y, gram, proj, uy)
     for _ in range(hp.iterations):
         p = noise_variance_params_from_rss(rss, data.shape, hp)
         state.sigma2 = sample_inverse_gamma(p, rng)
@@ -570,14 +543,13 @@ def run_gibbs(
         if hp.variant == VARIANT_GBTN:
             _update_weight_priors(state, hp, rng)
         # the post-sweep loss: the column move's bound reads it, and a
-        # rejected swap leaves it the iteration's loss; its U Y_J starts
-        # the next sweep
+        # rejected swap leaves it the iteration's loss
         uy = np.triu(gram, 1) @ state.y
         rss = gram_rss(a_sq, state.y, gram, proj, uy)
         if sample_state_vector(state, data, hp, rng, gram, proj, a_sq, rss, debug_checks=debug_checks):
             rec.swaps += 1
-            uy = None
-            rss = gram_rss(a_sq, state.y, gram, proj)
+            uy = np.triu(gram, 1) @ state.y
+            rss = gram_rss(a_sq, state.y, gram, proj, uy)
         rec.record(state, rss)
         if debug_checks:
             validate_state(state, data, hp)

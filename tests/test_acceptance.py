@@ -189,7 +189,7 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         _sweep_weights(
             row, gram[k:k + 1, k:k + 1], np.full((1, draws_per), like), state.sigma2,
             np.full((1, draws_per), state.gtn_mu[k, l]), np.full((1, draws_per), state.gtn_tau[k, l]),
-            hp.a, hp.b, rng,
+            hp.a, hp.b, rng, np.zeros((1, draws_per)),  # triu(G, 1) @ Y_J is 0 at K = 1
         )
         worst_tv = max(worst_tv, _tv(row[0], edges, probs))
 

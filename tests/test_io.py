@@ -130,6 +130,8 @@ _CSV_CASES = [
     ("header-crlf-with-empty-fields", b"a,b,c\r\n1,,3\r\n,5,\r\n", True),
     ("quoted-header", b'"a","b"\n1,2\n', True),
     ("quoted-header-two-lines", b'"col\nA",colB\n1,2\n', True),
+    ("quoted-header-two-lines-then-letters", b'"col\nA",colB\n1,x\n', True),
+    ("quoted-field-two-lines-then-ragged", b'1,"2\n"\n3\n', False),
     ("unclosed-quote-header", b'"a\n1,2\n3,4\n', True),
     ("hard-rounding", b"2.2250738585072011e-308,9007199254740993,5e-324,2.4703282292062328e-324\n"
      b"1.00000000000000011102230246251565404236316680908203125,0.30000000000000001665,"
@@ -149,11 +151,14 @@ _CSV_CASES = [
 
 def _reference_read(path, has_header):
     """The csv-module reader, field by field: csv.reader rows of one width,
-    each field stripped and read by ``float``, an empty one unobserved."""
+    each field stripped and read by ``float``, an empty one unobserved; a
+    fault's line is the physical line its row ends on."""
     values, mask, width = [], [], None
     with io.open_input(path) as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if has_header and line_no == 1:
+        reader = csv.reader(fh)
+        for row_no, row in enumerate(reader, start=1):
+            line_no = reader.line_num
+            if has_header and row_no == 1:
                 continue
             if width is None:
                 width = len(row)
@@ -215,6 +220,13 @@ class TestCsvReaderEquivalence:
             self._outcome(load_matrix, p, has_header)
             assert opened == [p], name
             opened.clear()
+
+    def test_fault_after_a_two_line_header_is_located_on_its_physical_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b'"col\nA",colB\n1,x\n')
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p, has_header=True)
+        assert (exc.value.line, exc.value.column) == (3, 2)
 
     def test_workload_shaped_file_reads_no_row_field_by_field(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(331)
@@ -732,3 +744,10 @@ class TestTraceCsv:
         with pytest.raises(ParseError) as exc:
             read_trace_csv(p)
         assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_empty_field_after_a_two_line_row_is_located_on_its_physical_line(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text('iteration,mse,mse_observed,sigma2,y_r0_c0\n1,0.5,0.5,"0.1\n",0.2\n2,0.4,,0.1,0.3\n')
+        with pytest.raises(ParseError) as exc:
+            read_trace_csv(p)
+        assert (exc.value.line, exc.value.column) == (4, 3)

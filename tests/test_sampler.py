@@ -423,17 +423,19 @@ class TestGramStatistics:
             _, trace = run_gibbs(data, hp, rng, debug_checks=True)
             assert trace.accepted_swaps == 20
 
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
     @pytest.mark.parametrize("force", [False, True], ids=["plain", "every-swap-accepted"])
-    def test_handed_upper_product_is_the_sweeps_own(self, monkeypatch, force):
-        # the loss's triu(G, 1) @ Y_J starts the next sweep; a sweep that forms
-        # its own gives the same bytes, also after accepted swaps
+    def test_handed_upper_product_is_the_sweeps_own(self, monkeypatch, variant, force):
+        # the loss's triu(G, 1) @ Y_J starts the next sweep; a sweep handed one
+        # formed afresh from G and Y_J gives the same bytes, also after accepted swaps
         data = ObservedMatrix.fully_observed(duplicated_id_matrix(20, 8, 3, np.random.default_rng(177), noise=0.1))
-        hp = Hyperparameters(k=3, iterations=20, burn_in=0, thinning=1)
+        hp = Hyperparameters(k=3, variant=variant, iterations=20, burn_in=0, thinning=1)
         if force:
             _force_accept(monkeypatch)
         _, handed = run_gibbs(data, hp, np.random.default_rng(3))
         sweep = sampler._sweep_weights
-        monkeypatch.setattr(sampler, "_sweep_weights", lambda *args: sweep(*args[:9]))
+        monkeypatch.setattr(sampler, "_sweep_weights",
+                            lambda y, gram, *args: sweep(y, gram, *args[:7], np.triu(gram, 1) @ y))
         _, own = run_gibbs(data, hp, np.random.default_rng(3))
         assert handed.accepted_swaps == own.accepted_swaps == (20 if force else 0)
         npt.assert_array_equal(handed.mse_per_iter, own.mse_per_iter)
@@ -526,8 +528,8 @@ class TestGramSweep:
     """The Gram-form sweep leaves Y_J where the sequential Gibbs scan from
     the entrywise reference kernel ``weight_entry_params`` leaves it, on the
     same normals and with the truncated-normal redraw made deterministic.
-    gbt takes the triangular solve with its repair rounds, gbtn the row
-    loop."""
+    gbt takes the triangular inverse with its repair rounds, gbtn the
+    forward substitution."""
 
     @staticmethod
     def _compare(monkeypatch, shape, k, masked, variant, sigma2, seed):
@@ -541,7 +543,7 @@ class TestGramSweep:
         calls = _stub_redraws(monkeypatch)
         y = state.y.copy()
         _sweep_weights(y, gram, proj, sigma2, state.gtn_mu, state.gtn_tau, hp.a, hp.b,
-                       np.random.default_rng(seed + 1))
+                       np.random.default_rng(seed + 1), np.triu(gram, 1) @ y)
         # with the redraw consuming no random number, either path draws
         # exactly one K x N block of normals
         z = np.random.default_rng(seed + 1).standard_normal(y.shape)
@@ -556,12 +558,14 @@ class TestGramSweep:
     def test_row_params_match_entry_kernel(self, monkeypatch, variant, shape, k, masked):
         self._compare(monkeypatch, shape, k, masked, variant, 0.3, 241)
 
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
     @_SWEEP_SHAPES
-    def test_repair_rounds_match_the_sequential_scan(self, monkeypatch, shape, k, masked):
+    def test_repair_rounds_match_the_sequential_scan(self, monkeypatch, variant, shape, k, masked):
         # at sigma^2 = 10 a proposal's sd is near 1, so several entries of a
-        # column fall outside [-1, 1]; a second redraw call means some column
-        # was repaired in two rounds
-        calls = self._compare(monkeypatch, shape, k, masked, "gbt", 10.0, 241)
+        # column fall outside [-1, 1]; under gbt a second redraw call means
+        # some column was repaired in two rounds, under gbtn that two rows
+        # were redrawn after the rows above them were final
+        calls = self._compare(monkeypatch, shape, k, masked, variant, 10.0, 241)
         assert len(calls) >= 2
 
 
@@ -578,15 +582,16 @@ class TestNormalFirstRows:
         mu = np.asarray(mu, dtype=float)
         tau = np.asarray(tau, dtype=float)
         if tau.ndim:
-            # gbtn's per-entry prior precision: the row loop
+            # gbtn's per-entry prior precision: the forward substitution
             gram_diag = 0.5 * tau.min(axis=1)
             prior_mu, prior_tau = np.zeros(mu.shape), tau - gram_diag[:, None]
         else:
-            # gbt's 0-d prior: the triangular solve
+            # gbt's 0-d prior: the triangular inverse
             gram_diag = np.full(mu.shape[0], tau - 1.0)
             prior_mu, prior_tau = np.float64(0.0), np.float64(1.0)
         y = np.zeros(mu.shape)
-        _sweep_weights(y, np.diag(gram_diag), mu * tau, 1.0, prior_mu, prior_tau, a, b, rng)
+        # a diagonal G leaves triu(G, 1) @ Y_J zero
+        _sweep_weights(y, np.diag(gram_diag), mu * tau, 1.0, prior_mu, prior_tau, a, b, rng, np.zeros(mu.shape))
         return y
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 1.0 + 8.0 / 3.0],
@@ -608,10 +613,12 @@ class TestNormalFirstRows:
         y = self._sweep(mu, tau, a, b, rng)
         assert np.all((y >= a) & (y <= b))
 
-    def test_sweep_inside_bounds_consumes_one_normal_block(self):
-        k, n, tau = 3, 500, 1e6
+    @pytest.mark.parametrize("per_entry_tau", [False, True], ids=["scalar-tau", "k-by-n-tau"])
+    def test_sweep_inside_bounds_consumes_one_normal_block(self, per_entry_tau):
+        k, n = 3, 500
         rng, ref = np.random.default_rng(271), np.random.default_rng(271)
         mu = np.tile(np.linspace(-0.5, 0.5, n), (k, 1))
+        tau = np.geomspace(1e6, 4e6, k * n).reshape(k, n) if per_entry_tau else np.float64(1e6)
         y = self._sweep(mu, tau, -1.0, 1.0, rng)
         z = ref.standard_normal((k, n))
         npt.assert_allclose(y, z / np.sqrt(tau) + mu, rtol=1e-12, atol=1e-15)
