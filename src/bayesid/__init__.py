@@ -28,7 +28,7 @@ from .errors import (
 from .io import PreprocessConfig, load_matrix, preprocess, save_matrix
 from .model import Hyperparameters, IdState, ObservedMatrix
 from .postprocess import CanonicalId, extract_canonical
-from .rid import RidResult, max_magnitude_excess, randomized_id
+from .rid import max_magnitude_excess, randomized_id
 from .sampler import GibbsTrace, run_gibbs
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "ParseError",
     "PreprocessConfig",
     "RankDeficiencyError",
-    "RidResult",
     "RunReport",
     "autocorrelation",
     "build_run_report",

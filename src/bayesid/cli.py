@@ -61,24 +61,27 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--oversample", type=float, default=None,
                         help=f"rid oversampling factor (default {_RID_OVERSAMPLE})")
-    parser.add_argument("--iterations", type=int, default=500)
-    parser.add_argument("--burn-in", type=int, default=100)
-    parser.add_argument("--thinning", type=int, default=5)
+    parser.add_argument("--iterations", type=int, default=Hyperparameters.iterations)
+    parser.add_argument("--burn-in", type=int, default=Hyperparameters.burn_in)
+    parser.add_argument("--thinning", type=int, default=Hyperparameters.thinning)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("csv", "matrix_market"), default=None,
                         help="input format (default: by file extension)")
     parser.add_argument("--has-header", action="store_true", help="skip the first CSV row")
-    parser.add_argument("--cap", type=float, default=100.0, metavar="VALUE",
-                        help="cap observed values at VALUE (default 100)")
+    parser.add_argument("--cap", type=float, default=PreprocessConfig.cap_value, metavar="VALUE",
+                        help="cap observed values at VALUE (default %(default)g)")
     parser.add_argument("--no-cap", action="store_true", help="disable value capping")
     parser.add_argument("--undo-log", action="store_true",
                         help="exponentiate observed values first (undo a log transform)")
-    parser.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True,
+    parser.add_argument("--standardize", action=argparse.BooleanOptionalAction,
+                        default=PreprocessConfig.standardize,
                         help="per-column standardization over observed entries")
+    # off unless asked for, unlike PreprocessConfig: a CLI run keeps the file's columns as they are
     parser.add_argument("--duplicate-columns", action=argparse.BooleanOptionalAction, default=False,
                         help="append a copy of every column after cleaning")
-    parser.add_argument("--min-observed", type=int, default=3, metavar="COUNT",
-                        help="drop rows/columns with fewer observed entries (default 3)")
+    parser.add_argument("--min-observed", type=int, default=PreprocessConfig.min_observed_per_vector,
+                        metavar="COUNT",
+                        help="drop rows/columns with fewer observed entries (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,9 +123,12 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
                burn_in: int, thinning: int, oversample: float | None):
     """Run one method on a preprocessed matrix; the single path of decompose and benchmark.
 
-    Returns (C, W, result metadata, trace), where the trace is None for rid.
+    Every method gives a ``CanonicalId``, so J, C and W, and the weight
+    bound keys, are read off one result type. Returns (C, W, result
+    metadata, trace), where the trace is None for rid.
     """
     rng = np.random.default_rng(seed)
+    trace = None
     if method == METHOD_RID:
         oversample = _RID_OVERSAMPLE if oversample is None else oversample
         result = randomized_id(data.values, k, rng, oversample=oversample)
@@ -131,38 +137,34 @@ def _decompose(data: ObservedMatrix, method: str, k: int, seed: int, iterations:
         rss, rss_observed = residual_sums(data.values, result.c, result.w, data.mask)
         meta = {
             "oversample": oversample,
-            "j_set": [int(j) for j in result.j_set],
             "mse": rss / data.values.size,
             "mse_observed": rss_observed / int(data.mask.sum()),
-            "max_abs_w": result.max_abs_w,
-            "magnitude_excess": max_magnitude_excess(result.w),
         }
-        return result.c, result.w, meta, None
-
-    hp = Hyperparameters(
-        k=k, iterations=iterations, burn_in=burn_in, thinning=thinning,
-        variant=METHOD_GBTN if method == METHOD_GBTN else METHOD_GBT,
-    )
-    state, trace = run_gibbs(data, hp, rng)
-    report = build_run_report(trace, hp.burn_in, hp.thinning)
-    canonical = extract_canonical(state, data)
-    meta = {
-        "iterations": hp.iterations,
-        "burn_in": hp.burn_in,
-        "thinning": hp.thinning,
-        "j_set": [int(j) for j in canonical.j_set],
-        "mse": report.mse_final,
-        "mse_observed": report.mse_observed_final,
-        "mse_posterior_mean": report.mse_posterior_mean,
-        "mse_canonical": diagnostics.mse(data.values, canonical.c, canonical.w),
-        "sigma2_final": report.sigma2_final,
-        "accepted_swaps": report.accepted_swaps,
-        "iterations_to_plateau": report.iterations_to_plateau,
-        "max_abs_w": float(np.max(np.abs(canonical.w))),
-        "magnitude_excess": max_magnitude_excess(canonical.w),
-        "mixing": report.mixing,
-    }
-    return canonical.c, canonical.w, meta, trace
+    else:
+        hp = Hyperparameters(
+            k=k, iterations=iterations, burn_in=burn_in, thinning=thinning,
+            variant=METHOD_GBTN if method == METHOD_GBTN else METHOD_GBT,
+        )
+        state, trace = run_gibbs(data, hp, rng)
+        report = build_run_report(trace, hp.burn_in, hp.thinning)
+        result = extract_canonical(state, data)
+        meta = {
+            "iterations": hp.iterations,
+            "burn_in": hp.burn_in,
+            "thinning": hp.thinning,
+            "mse": report.mse_final,
+            "mse_observed": report.mse_observed_final,
+            "mse_posterior_mean": report.mse_posterior_mean,
+            "mse_canonical": diagnostics.mse(data.values, result.c, result.w),
+            "sigma2_final": report.sigma2_final,
+            "accepted_swaps": report.accepted_swaps,
+            "iterations_to_plateau": report.iterations_to_plateau,
+            "mixing": report.mixing,
+        }
+    meta["j_set"] = [int(j) for j in result.j_set]
+    meta["max_abs_w"] = float(np.max(np.abs(result.w)))
+    meta["magnitude_excess"] = max_magnitude_excess(result.w)
+    return result.c, result.w, meta, trace
 
 
 def _load_into(args, ks, run) -> int:

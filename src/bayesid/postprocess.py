@@ -1,5 +1,6 @@
-"""Canonical form of a sampled decomposition.
+"""Canonical form of an interpolative decomposition, the one result type.
 
+Both the samplers and the randomized baseline return a ``CanonicalId``.
 A sampler state holds the basis column indices J, in slot order, and
 their weight rows Y_J, and no basis. The canonical interpolative form
 sorts J into j_set, reads C = A[:, j_set] off the data, orders the rows
@@ -20,8 +21,10 @@ from .model import IdState, ObservedMatrix
 class CanonicalId:
     """C = A[:, j_set] and weights W with W[:, j_set] the exact identity.
 
-    ``w_unconstrained`` keeps the corresponding rows of Y_J as sampled,
-    before the identity was enforced, for diagnostics.
+    For the samplers, ``w_unconstrained`` keeps the corresponding rows of
+    Y_J as sampled, before the identity was enforced, for diagnostics. For
+    ``randomized_id``, whose least-squares weights hold the identity block
+    in exact arithmetic, ``w_unconstrained`` is W itself.
     """
 
     j_set: np.ndarray

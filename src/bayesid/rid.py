@@ -4,30 +4,22 @@ Samples a modest overset of columns uniformly, and one column-pivoted QR
 of that sample both picks K of them and gives the unconstrained
 least-squares interpolation weights (Voronin and Martinsson, "Efficient
 algorithms for CUR and interpolative matrix decompositions", Adv. Comput.
-Math. 2017). Fast, but nothing bounds the weight magnitudes;
-``max_magnitude_excess`` quantifies how far outside [-1, 1] they land.
+Math. 2017). The result is the samplers' ``CanonicalId``: the same J,
+C = A[:, J] and W with W[:, J] the exact identity. Fast, but nothing
+bounds the other weights; ``max_magnitude_excess`` quantifies how far
+outside [-1, 1] they land.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, RankDeficiencyError
 from .linalg import _as_matrix, numerical_rank
-
-
-@dataclass
-class RidResult:
-    """Selected column set, basis C = A[:, j_set], and weights W with A ~ C @ W."""
-
-    j_set: np.ndarray
-    c: np.ndarray
-    w: np.ndarray
-    max_abs_w: float
+from .postprocess import CanonicalId
 
 
 def check_oversample(oversample: float) -> None:
@@ -36,7 +28,7 @@ def check_oversample(oversample: float) -> None:
         raise ConfigurationError(f"oversample must be finite and at least 1, got {oversample}")
 
 
-def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) -> RidResult:
+def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) -> CanonicalId:
     """Interpolative decomposition with randomized column sampling.
 
     ``ceil(oversample * k)`` distinct columns are sampled uniformly (all of
@@ -45,6 +37,8 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
     and since C spans the first k columns Q1 of Q, the least-squares
     weights of the full matrix on C are W = R11^-1 Q1^T A, with R11 the
     leading k x k block of R, rows put in the order of C's columns.
+    W[:, j_set] is the identity in exact arithmetic and is written so in
+    place; with no sampled rows to keep, ``w_unconstrained`` is W itself.
 
     Raises ValueError when a is not 2-d or holds a non-finite entry,
     ConfigurationError when k lies outside [1, n] or oversample is not
@@ -71,7 +65,8 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
     del q  # freed before the solve and the gather of C
     w = scipy.linalg.solve_triangular(r11, w)[order]
     j_set = pivots[order]
-    return RidResult(j_set=j_set, c=a[:, j_set], w=w, max_abs_w=float(np.max(np.abs(w))))
+    w[:, j_set] = np.eye(k)
+    return CanonicalId(j_set=j_set, c=a[:, j_set], w=w, w_unconstrained=w)
 
 
 def max_magnitude_excess(w) -> float:

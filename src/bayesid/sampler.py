@@ -465,20 +465,16 @@ def _choose_probes(k: int, n: int, rng: np.random.Generator) -> list[tuple[int, 
     return [(int(f) // n, int(f) % n) for f in flat]
 
 
-def _check_data(data: ObservedMatrix) -> None:
-    if not data.mask.any():
-        raise InputError("matrix has no observed entries")
-
-
 class _TraceRecorder:
-    def __init__(self, iterations: int, probes: list[tuple[int, int]], data: ObservedMatrix):
+    def __init__(self, iterations: int, probes: list[tuple[int, int]], data: ObservedMatrix,
+                 obs_count: int):
         self.mse = np.empty(iterations)
         self.mse_obs = np.empty(iterations)
         self.sigma2 = np.empty(iterations)
         self.probes = probes
         self.probe_vals = np.empty((len(probes), iterations))
         self.values = data.values
-        self.obs_count = int(np.count_nonzero(data.mask))
+        self.obs_count = obs_count
         # a fully observed mask changes no residual, so the observed loss is the loss
         self.mask = None if self.obs_count == data.mask.size else data.mask
         self.swaps = 0
@@ -525,9 +521,11 @@ def run_gibbs(
     uniformly over K x N after the start (every position when Y_J has fewer
     than five entries).
     """
-    _check_data(data)
+    obs_count = int(np.count_nonzero(data.mask))
+    if obs_count == 0:
+        raise InputError("matrix has no observed entries")
     state, a_sq, gram, proj = init_state(data, hp, rng)
-    rec = _TraceRecorder(hp.iterations, _choose_probes(hp.k, data.shape[1], rng), data)
+    rec = _TraceRecorder(hp.iterations, _choose_probes(hp.k, data.shape[1], rng), data, obs_count)
 
     values = data.values
     # U Y_J with U = triu(G, 1): the loss reads it and the next sweep starts from it

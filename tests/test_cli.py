@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exercised in process via main(argv)."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -121,6 +122,18 @@ class TestDecomposeRid:
         with pytest.raises(SystemExit):
             main(["decompose", "--help"])
         assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command", ["decompose", "benchmark"])
+    def test_run_flag_defaults_are_the_librarys(self, command):
+        args = cli.build_parser().parse_args([command, "in.csv", "--k", "2"])
+        hp = {f.name: f.default for f in dataclasses.fields(bayesid.Hyperparameters)}
+        prep = {f.name: f.default for f in dataclasses.fields(bayesid.PreprocessConfig)}
+        assert (args.iterations, args.burn_in, args.thinning) == (
+            hp["iterations"], hp["burn_in"], hp["thinning"])
+        assert (args.cap, args.standardize, args.min_observed) == (
+            prep["cap_value"], prep["standardize"], prep["min_observed_per_vector"])
+        # duplication is the one library default the command line leaves off
+        assert prep["duplicate_columns"] and not args.duplicate_columns
 
     def test_rank_deficient_selection_exits_numerical(self, tmp_path):
         p = tmp_path / "dup.csv"
@@ -482,6 +495,19 @@ class TestBenchmark:
         timing_lines = (out / "timings.csv").read_text().strip().splitlines()
         assert timing_lines[0] == "k,method,seconds"
         assert len(timing_lines) == 5
+
+    def test_rid_identity_block_adds_no_excess(self, tmp_path):
+        # at k = 3 rid's largest |w| lies in its identity block, so rounding
+        # left there would read as an excess over the bound
+        src = _synth(tmp_path, cols=20, rank=5, noise=0.05, seed=1)
+        out = tmp_path / "bench"
+        assert main(["benchmark", str(src), "--out", str(out), "--k", "3", "--k", "6",
+                     "--iterations", "60", "--burn-in", "10", "--seed", "7"]) == 0
+        with open(out / "benchmark.csv", newline="") as fh:
+            by_key = {(row["k"], row["method"]): row for row in csv.DictReader(fh)}
+        cell = by_key[("3", "rid")]
+        assert cell["status"] == "ok"
+        assert (cell["max_abs_w"], cell["magnitude_excess"]) == ("1", "0")
 
     def test_benchmark_csv_deterministic(self, tmp_path):
         src = _synth(tmp_path)

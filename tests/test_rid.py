@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from bayesid.errors import ConfigurationError, RankDeficiencyError
+from bayesid.postprocess import CanonicalId
 from bayesid.rid import max_magnitude_excess, randomized_id
 
 from _instances import duplicated_id_matrix
@@ -26,7 +27,7 @@ class TestRandomizedId:
         res = randomized_id(a, 3, rng, oversample=a.shape[1] / 3)
         mse = np.mean((a - res.c @ res.w) ** 2)
         assert mse <= 1e-10
-        npt.assert_allclose(res.w[:, res.j_set], np.eye(3), atol=1e-8)
+        npt.assert_array_equal(res.w[:, res.j_set], np.eye(3))
 
     def test_weights_match_least_squares_oracle(self):
         rng = np.random.default_rng(29)
@@ -58,8 +59,20 @@ class TestRandomizedId:
         a = _adversarial_matrix()
         res = randomized_id(a, 2, np.random.default_rng(1), oversample=1.0)
         npt.assert_array_equal(res.j_set, [0, 1])
-        npt.assert_allclose(res.max_abs_w, 1.5, atol=1e-9)
+        npt.assert_allclose(np.abs(res.w).max(), 1.5, atol=1e-9)
         npt.assert_allclose(max_magnitude_excess(res.w), 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("instance", ["random", "duplicated"])
+    def test_returns_canonical_id_with_exact_identity_block(self, instance):
+        rng = np.random.default_rng(41)
+        if instance == "random":
+            a, k, oversample = rng.normal(size=(30, 20)), 7, 1.2
+        else:
+            a, k, oversample = duplicated_id_matrix(20, 8, 3, rng), 3, 16 / 3
+        res = randomized_id(a, k, rng, oversample=oversample)
+        assert isinstance(res, CanonicalId)
+        npt.assert_array_equal(res.w[:, res.j_set], np.eye(k))
+        assert res.w_unconstrained is res.w
 
     def test_selected_columns_copied_verbatim(self):
         rng = np.random.default_rng(31)
