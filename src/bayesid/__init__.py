@@ -20,7 +20,6 @@ from .errors import (
     ConfigurationError,
     DegenerateChainError,
     InputError,
-    InvalidParameterError,
     NumericalError,
     ParseError,
     RankDeficiencyError,
@@ -42,7 +41,6 @@ __all__ = [
     "Hyperparameters",
     "IdState",
     "InputError",
-    "InvalidParameterError",
     "NumericalError",
     "ObservedMatrix",
     "ParseError",

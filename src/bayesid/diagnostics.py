@@ -25,26 +25,34 @@ MIXING_LAG_THRESHOLD = 10
 MIXING_COEFF_THRESHOLD = 0.1
 
 
+def _factors(a: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; ValueError unless x @ y has the shape of the 2-d a."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if a.ndim != 2 or x.ndim != 2 or x.shape[0] != a.shape[0] or y.shape != (x.shape[1], a.shape[1]):
+        raise ValueError(f"inconsistent shapes a={a.shape}, x={x.shape}, y={y.shape}")
+    return x, y
+
+
 def mse(a, x, y) -> float:
     """Mean squared reconstruction error over all entries, ||a - x @ y||^2 / (m n).
 
     The residual is formed a block of rows at a time (``model.residual_sums``).
     """
     a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if a.ndim != 2 or x.shape[0] != a.shape[0] or y.shape != (x.shape[1], a.shape[1]):
-        raise ValueError(f"inconsistent shapes a={a.shape}, x={x.shape}, y={y.shape}")
+    x, y = _factors(a, x, y)
     return residual_sums(a, x, y)[0] / a.size
 
 
 def mse_observed(data: ObservedMatrix, x, y) -> float:
-    """Mean squared error restricted to observed entries, formed in row blocks like ``mse``."""
+    """Mean squared error restricted to observed entries, formed in row blocks like ``mse``.
+
+    Shapes are checked as ``mse`` checks them, against ``data``'s.
+    """
     count = int(data.mask.sum())
     if count == 0:
         raise InputError("matrix has no observed entries")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _factors(data.values, x, y)
     return residual_sums(data.values, x, y, data.mask)[1] / count
 
 

@@ -8,17 +8,14 @@ entry in every regime, redone on log probabilities (``log_ndtr`` and its
 inverse ``ndtri_exp``) where the whole interval sits deep in one tail.
 No density is evaluated here; ``_log_interval_mass`` gives the log of a
 GTN's normalising mass, stable in both tails, for exact computations
-outside the sampler.
+outside the sampler. ``sample_inverse_gamma`` draws the noise variance
+from a plain (shape, rate) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
-
-from .errors import InvalidParameterError
 
 # Standardized bound beyond which the plain inverse CDF becomes unreliable;
 # entries past it redo their own uniform's inverse CDF on log probabilities.
@@ -27,24 +24,6 @@ _TAIL_LIMIT = 5.0
 # The open unit interval that the inverse CDF is evaluated on.
 _U_MIN = np.nextafter(0.0, 1.0)
 _U_MAX = np.nextafter(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parameterization, density proportional to x^(shape-1) exp(-rate x).
-
-    Either field may be an array, one parameter per element, as numpy's
-    Gamma sampler and scipy's distributions accept.
-    """
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.shape) & (np.asarray(self.shape) > 0)):
-            raise InvalidParameterError(f"shape must be finite and positive, got {self.shape}")
-        if not np.all(np.isfinite(self.rate) & (np.asarray(self.rate) > 0)):
-            raise InvalidParameterError(f"rate must be finite and positive, got {self.rate}")
 
 
 def _log_interval_mass(alpha, beta):
@@ -122,13 +101,16 @@ def sample_gtn_array(mu, tau, a, b, rng: np.random.Generator, size=None):
     return _scale_into_bounds(z, mu, sd, a, b)
 
 
-def sample_inverse_gamma(p: GammaParams, rng: np.random.Generator, size=None):
+def sample_inverse_gamma(shape, rate, rng: np.random.Generator, size=None):
     """Draw from the inverse Gamma: 1/X with X ~ Gamma(shape, rate).
 
-    Gamma draws at small shape can underflow to zero; they are floored at
-    the smallest positive normal so the reciprocal stays finite.
+    ``shape`` and ``rate`` are plain numbers or arrays, and are not
+    checked here: the callers form them from validated hyperparameters
+    and a finite loss. Gamma draws at small shape can underflow to zero;
+    they are floored at the smallest positive normal so the reciprocal
+    stays finite.
     """
-    draw = rng.gamma(p.shape, 1.0 / p.rate, size=size)
+    draw = rng.gamma(shape, 1.0 / rate, size=size)
     draw = np.maximum(draw, np.finfo(float).tiny)
     out = 1.0 / draw
     return float(out) if size is None else out

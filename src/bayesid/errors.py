@@ -50,7 +50,3 @@ class RankDeficiencyError(NumericalError):
     def __init__(self, message, rank):
         self.rank = rank
         super().__init__(f"{message} (numerical rank {rank})")
-
-
-class InvalidParameterError(NumericalError):
-    """Distribution parameters outside the numerically representable regime."""

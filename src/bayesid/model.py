@@ -16,12 +16,14 @@ of the state: ``init_state`` returns them beside it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import sample_gtn_array
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .linalg import _as_matrix, _dominant_fit
 
 VARIANT_GBT = "gbt"
@@ -63,6 +65,9 @@ class Hyperparameters:
     def __post_init__(self):
         if self.variant not in (VARIANT_GBT, VARIANT_GBTN):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
+        for name in ("k", "iterations", "burn_in", "thinning"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.k >= 1:
             raise ConfigurationError(f"k must be at least 1, got {self.k}")
         if not self.a < self.b:
@@ -212,11 +217,17 @@ def gram_rss(a_sq: float, y: np.ndarray, gram: np.ndarray, proj: np.ndarray,
     eps * (||A||^2 + ||C Y_J||^2); the result is floored at 0. The error
     does not accumulate across iterations, because each evaluation reads
     the current statistics, which never drift.
+
+    Raises NumericalError when the loss is not finite (inf or nan), as
+    when entries near 1e154 overflow its terms; this is the one check
+    that the noise variance, drawn from the loss, stays finite.
     """
     if uy is None:
         uy = np.triu(gram, 1) @ y
     quad = 2.0 * float(np.vdot(y, uy)) + float(gram.diagonal() @ np.einsum("ij,ij->i", y, y))
     rss = a_sq - 2.0 * float(np.vdot(y, proj)) + quad
+    if not math.isfinite(rss):
+        raise NumericalError(f"the loss is not finite ({rss}); rescale the data")
     return max(rss, 0.0)
 
 

@@ -13,6 +13,7 @@ outside [-1, 1] they land.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -41,12 +42,14 @@ def randomized_id(a, k: int, rng: np.random.Generator, oversample: float = 1.2) 
     place; with no sampled rows to keep, ``w_unconstrained`` is W itself.
 
     Raises ValueError when a is not 2-d or holds a non-finite entry,
-    ConfigurationError when k lies outside [1, n] or oversample is not
-    finite and at least 1, and RankDeficiencyError (carrying the
+    ConfigurationError when k is not an integer in [1, n] or oversample
+    is not finite and at least 1, and RankDeficiencyError (carrying the
     numerical rank) when R11 is numerically rank deficient.
     """
     a = _as_matrix(a)
     n = a.shape[1]
+    if not isinstance(k, numbers.Integral):
+        raise ConfigurationError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     check_oversample(oversample)

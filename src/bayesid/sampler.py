@@ -72,11 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtri as _dtrtri
 
-from .distributions import (
-    GammaParams,
-    sample_gtn_array,
-    sample_inverse_gamma,
-)
+from .distributions import sample_gtn_array, sample_inverse_gamma
 from .errors import ConfigurationError, InputError, NumericalError
 from .model import (
     VARIANT_GBTN,
@@ -147,8 +143,8 @@ def weight_entry_params(state: IdState, data: ObservedMatrix, s: int, l: int) ->
     return mu_post, tau_post
 
 
-def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> GammaParams:
-    """Inverse-Gamma posterior parameters for sigma^2 at the current factors."""
+def noise_variance_params(state: IdState, data: ObservedMatrix, hp: Hyperparameters) -> tuple[float, float]:
+    """Inverse-Gamma posterior (shape, rate) for sigma^2 at the current factors."""
     rss = float(np.sum(residual(data.values, state.y, state.j) ** 2))
     return noise_variance_params_from_rss(rss, data.shape, hp)
 
@@ -162,15 +158,15 @@ def weight_mean_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int
     return m_post, t_post
 
 
-def weight_precision_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int) -> GammaParams:
-    """Gamma posterior for the prior precision at (k, l); hierarchical variant only.
+def weight_precision_entry_params(state: IdState, hp: Hyperparameters, k: int, l: int) -> tuple[float, float]:
+    """Gamma posterior (shape, rate) for the prior precision at (k, l); hierarchical variant only.
 
     k and l may be index arrays, which give an array rate, one per entry.
     """
     if hp.variant != VARIANT_GBTN:
         raise ConfigurationError("weight-precision updates exist only under the gbtn variant")
     dev = state.y[k, l] - state.gtn_mu[k, l]
-    return GammaParams(shape=hp.alpha_t + 0.5, rate=hp.beta_t + 0.5 * dev * dev)
+    return hp.alpha_t + 0.5, hp.beta_t + 0.5 * dev * dev
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +528,7 @@ def run_gibbs(
     uy = np.triu(gram, 1) @ state.y
     rss = gram_rss(a_sq, state.y, gram, proj, uy)
     for _ in range(hp.iterations):
-        p = noise_variance_params_from_rss(rss, data.shape, hp)
-        state.sigma2 = sample_inverse_gamma(p, rng)
+        state.sigma2 = sample_inverse_gamma(*noise_variance_params_from_rss(rss, data.shape, hp), rng)
         _sweep_weights(
             state.y, gram, proj, state.sigma2,
             state.gtn_mu, state.gtn_tau, hp.a, hp.b, rng, uy,
@@ -555,6 +550,9 @@ def run_gibbs(
     return state, rec.finish()
 
 
-def noise_variance_params_from_rss(rss: float, shape: tuple[int, int], hp: Hyperparameters) -> GammaParams:
+def noise_variance_params_from_rss(
+    rss: float, shape: tuple[int, int], hp: Hyperparameters
+) -> tuple[float, float]:
+    """Inverse-Gamma posterior (shape, rate) for sigma^2 given the loss ``rss`` of an M x N matrix."""
     m, n = shape
-    return GammaParams(shape=m * n / 2.0 + hp.alpha_sigma, rate=0.5 * rss + hp.beta_sigma)
+    return m * n / 2.0 + hp.alpha_sigma, 0.5 * rss + hp.beta_sigma

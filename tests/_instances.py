@@ -37,3 +37,12 @@ def frozen_state(m, n, k, rng, variant="gbt", sigma2=None):
     state = init_state(data, hp, rng)[0]
     state.sigma2 = float(rng.uniform(0.05, 2.0)) if sigma2 is None else sigma2
     return data, hp, state
+
+
+def overflowing_loss_matrix():
+    """A 2 x 4 matrix of entries near 6e153 whose squared column norms are
+    finite but whose loss overflows: at k = 2 the start's loss is inf."""
+    v = np.full((2, 4), 6e153)
+    v[1] *= -0.5
+    v[:, 1] *= 0.3
+    return v

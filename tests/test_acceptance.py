@@ -138,21 +138,21 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         mu, tau = weight_entry_params(state, data, k, l)
         mu_o, tau_o = _entry_params_oracle(state, data, k, l)
         worst_param = max(worst_param, _rel(mu, mu_o), _rel(tau, tau_o))
-        p = noise_variance_params(state, data, hp)
+        shape, rate = noise_variance_params(state, data, hp)
         worst_param = max(
             worst_param,
-            _rel(p.shape, data.shape[0] * data.shape[1] / 2 + hp.alpha_sigma),
-            _rel(p.rate, 0.5 * _rss_oracle(state, data) + hp.beta_sigma),
+            _rel(shape, data.shape[0] * data.shape[1] / 2 + hp.alpha_sigma),
+            _rel(rate, 0.5 * _rss_oracle(state, data) + hp.beta_sigma),
         )
         m_post, t_post = weight_mean_entry_params(state, hp, k, l)
         t_o = state.gtn_tau[k, l] + hp.tau_mu
         m_o = (state.gtn_tau[k, l] * state.y[k, l] + hp.tau_mu * hp.mu_mu) / t_o
         worst_param = max(worst_param, _rel(m_post, m_o), _rel(t_post, t_o))
-        g = weight_precision_entry_params(state, hp, k, l)
+        shape, rate = weight_precision_entry_params(state, hp, k, l)
         worst_param = max(
             worst_param,
-            _rel(g.shape, hp.alpha_t + 0.5),
-            _rel(g.rate, hp.beta_t + 0.5 * (state.y[k, l] - state.gtn_mu[k, l]) ** 2),
+            _rel(shape, hp.alpha_t + 0.5),
+            _rel(rate, hp.beta_t + 0.5 * (state.y[k, l] - state.gtn_mu[k, l]) ** 2),
         )
 
     # the draws come from the kernels run_gibbs runs, each given 100,000
@@ -193,10 +193,10 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
         )
         worst_tv = max(worst_tv, _tv(row[0], edges, probs))
 
-        p = noise_variance_params(state, data, hp)
-        edges, probs = _equiprobable(scipy.stats.invgamma(p.shape, scale=p.rate))
+        shape, rate = noise_variance_params(state, data, hp)
+        edges, probs = _equiprobable(scipy.stats.invgamma(shape, scale=rate))
         rss = gram_rss(float(np.sum(data.values ** 2)), state.y, gram, proj)
-        draws = sample_inverse_gamma(noise_variance_params_from_rss(rss, data.shape, hp), rng, size=draws_per)
+        draws = sample_inverse_gamma(*noise_variance_params_from_rss(rss, data.shape, hp), rng, size=draws_per)
         worst_tv = max(worst_tv, _tv(draws, edges, probs))
 
         # the prior updates on 100,000 copies of entry (0, 0)
@@ -214,8 +214,8 @@ def test_criterion_2_gibbs_conditionals_match_their_laws():
 
         # each tau is drawn given its own new mu, so its law differs per
         # draw; its probability-integral transform is uniform under the law
-        g = weight_precision_entry_params(entry, hp, 0, np.arange(draws_per))
-        pit = scipy.stats.gamma.cdf(entry.gtn_tau[0], g.shape, scale=1.0 / g.rate)
+        shape, rate = weight_precision_entry_params(entry, hp, 0, np.arange(draws_per))
+        pit = scipy.stats.gamma.cdf(entry.gtn_tau[0], shape, scale=1.0 / rate)
         worst_tv = max(worst_tv, _tv(pit, uniform_edges, uniform_probs))
 
     ok = worst_param < 1e-10 and worst_tv <= 0.01

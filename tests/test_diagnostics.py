@@ -91,6 +91,21 @@ class TestMseObserved:
                     count += 1
         npt.assert_allclose(mse_observed(data, x, y), total / count, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "a_shape, x_shape, y_shape",
+        [
+            ((1, 3), (6, 2), (2, 3)),  # would broadcast the one data row against six
+            ((3, 3), (3, 2), (3, 3)),
+            ((3, 4), (3, 2), (2, 3)),
+        ],
+    )
+    def test_shape_mismatch_rejected_as_mse_rejects_it(self, a_shape, x_shape, y_shape):
+        a, x, y = np.ones(a_shape), np.ones(x_shape), np.zeros(y_shape)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            mse(a, x, y)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            mse_observed(ObservedMatrix.fully_observed(a), x, y)
+
     def test_empty_mask_rejected(self):
         data = ObservedMatrix(values=np.zeros((2, 2)), mask=np.zeros((2, 2), dtype=bool))
         with pytest.raises(InputError):

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from bayesid.distributions import (
-    GammaParams,
     _log_interval_mass,
     sample_gtn_array,
     sample_inverse_gamma,
 )
-from bayesid.errors import InvalidParameterError
 
 # 1% critical value of the Kolmogorov-Smirnov statistic, asymptotic form
 _KS_CRIT = 1.628
@@ -31,14 +29,6 @@ def _ks_stat(draws, cdf):
     upper = np.max(np.arange(1, n + 1) / n - grid)
     lower = np.max(grid - np.arange(0, n) / n)
     return max(upper, lower)
-
-
-class TestGtnParamsValidation:
-    def test_gamma_params_validation(self):
-        with pytest.raises(InvalidParameterError):
-            GammaParams(shape=0.0, rate=1.0)
-        with pytest.raises(InvalidParameterError):
-            GammaParams(shape=1.0, rate=-2.0)
 
 
 def _reference_log_mass(alpha, beta):
@@ -242,7 +232,7 @@ class TestSizeContract:
 
 class TestGamma:
     """numpy's Gamma sampler, which sample_inverse_gamma draws through, takes
-    the scale, the reciprocal of GammaParams' rate."""
+    the scale, the reciprocal of the rate it is given."""
 
     def test_exponential_special_case_mean(self):
         rng = np.random.default_rng(37)
@@ -269,25 +259,24 @@ class TestGamma:
 class TestInverseGamma:
     def test_mean_rate_over_shape_minus_one(self):
         rng = np.random.default_rng(53)
-        draws = sample_inverse_gamma(GammaParams(3.0, 2.0), rng, size=100_000)
+        draws = sample_inverse_gamma(3.0, 2.0, rng, size=100_000)
         assert abs(draws.mean() - 1.0) <= 0.02
 
     def test_reciprocal_of_gamma_identity(self):
-        p = GammaParams(2.0, 3.0)
-        inv = sample_inverse_gamma(p, np.random.default_rng(59), size=1000)
-        fwd = np.random.default_rng(59).gamma(p.shape, scale=1.0 / p.rate, size=1000)
+        inv = sample_inverse_gamma(2.0, 3.0, np.random.default_rng(59), size=1000)
+        fwd = np.random.default_rng(59).gamma(2.0, scale=1.0 / 3.0, size=1000)
         npt.assert_array_equal(inv, 1.0 / fwd)
 
     def test_ks_against_reference(self):
         rng = np.random.default_rng(61)
-        draws = sample_inverse_gamma(GammaParams(3.0, 2.0), rng, size=10_000)
+        draws = sample_inverse_gamma(3.0, 2.0, rng, size=10_000)
         dist = scipy.stats.invgamma(a=3.0, scale=2.0)
         assert _ks_stat(draws, dist.cdf) < _KS_CRIT / np.sqrt(draws.size)
 
     def test_small_shape_stays_finite(self):
         rng = np.random.default_rng(67)
-        draws = sample_inverse_gamma(GammaParams(0.1, 1.0), rng, size=100_000)
+        draws = sample_inverse_gamma(0.1, 1.0, rng, size=100_000)
         assert np.all(draws > 0) and np.all(np.isfinite(draws))
 
     def test_scalar_return(self):
-        assert isinstance(sample_inverse_gamma(GammaParams(1.0, 1.0), np.random.default_rng(0)), float)
+        assert isinstance(sample_inverse_gamma(1.0, 1.0, np.random.default_rng(0)), float)

@@ -19,7 +19,7 @@ from bayesid.model import (
     validate_state,
 )
 
-from _instances import duplicated_id_matrix
+from _instances import duplicated_id_matrix, overflowing_loss_matrix
 
 
 class TestHyperparameters:
@@ -49,11 +49,23 @@ class TestHyperparameters:
             {"k": 2, "burn_in": -1},
             {"k": 2, "thinning": 0},
             {"k": 2, "variant": "other"},
+            # counts that are not integers, which numpy integers are
+            {"k": 2.5},
+            {"k": 2.0},
+            {"k": 2, "iterations": 200.0},
+            {"k": 2, "burn_in": 2.5},
+            {"k": 2, "thinning": 1.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             Hyperparameters(**kwargs)
+
+    def test_numpy_integer_counts_are_valid(self):
+        hp = Hyperparameters(
+            k=np.int64(2), iterations=np.int32(10), burn_in=np.int64(2), thinning=np.uint8(3)
+        )
+        assert (hp.k, hp.iterations, hp.burn_in, hp.thinning) == (2, 10, 2, 3)
 
     def test_gbtn_plain_is_valid(self):
         Hyperparameters(k=2, variant="gbtn")
@@ -119,6 +131,13 @@ class TestInitState:
         state = init_state(data, Hyperparameters(k=1), rng)[0]
         assert state.j.size == 1
         assert state.interpolated_indices.size == 2
+
+    def test_overflowing_loss_raises_numerical_error(self):
+        # the squared column norms are finite, so the start's fit is formed,
+        # but its loss is inf and a noise variance drawn from it would be too
+        data = ObservedMatrix.fully_observed(overflowing_loss_matrix())
+        with pytest.raises(NumericalError, match="the loss is not finite"):
+            init_state(data, Hyperparameters(k=2), np.random.default_rng(0))
 
     def test_k_exceeding_columns_raises(self):
         data = ObservedMatrix.fully_observed(np.ones((3, 2)))

@@ -127,11 +127,15 @@ class TestRandomizedId:
         with pytest.raises(ValueError, match="non-finite"):
             randomized_id(a, 2, np.random.default_rng(3), oversample=1.0)
 
-    @pytest.mark.parametrize("k", [0, 8])
+    @pytest.mark.parametrize("k", [0, 8, 2.5, 2.0])
     def test_k_out_of_range(self, k):
         a = np.ones((4, 7))
         with pytest.raises(ConfigurationError):
             randomized_id(a, k, np.random.default_rng(0))
+
+    def test_numpy_integer_k_accepted(self):
+        a = np.random.default_rng(5).normal(size=(6, 7))
+        assert randomized_id(a, np.int64(3), np.random.default_rng(0)).j_set.size == 3
 
     def test_oversample_below_one_rejected(self):
         with pytest.raises(ConfigurationError):

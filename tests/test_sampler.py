@@ -41,7 +41,7 @@ from bayesid.sampler import (
     weight_precision_entry_params,
 )
 
-from _instances import duplicated_id_matrix, frozen_state
+from _instances import duplicated_id_matrix, frozen_state, overflowing_loss_matrix
 
 
 def _x(state, data, i, s):
@@ -151,16 +151,16 @@ class TestNoiseVariance:
             gtn_mu=np.zeros((2, 2)),
             gtn_tau=np.ones((2, 2)),
         )
-        p = noise_variance_params(state, data, Hyperparameters(k=2))
-        npt.assert_allclose(p.shape, 2.1, rtol=1e-12)
-        npt.assert_allclose(p.rate, 1.0, rtol=1e-12)
+        shape, rate = noise_variance_params(state, data, Hyperparameters(k=2))
+        npt.assert_allclose(shape, 2.1, rtol=1e-12)
+        npt.assert_allclose(rate, 1.0, rtol=1e-12)
 
     def test_rate_is_half_rss_plus_prior(self):
         rng = np.random.default_rng(109)
         data, hp, state = frozen_state(4, 3, 2, rng)
-        p = noise_variance_params(state, data, hp)
-        npt.assert_allclose(p.rate, 0.5 * _rss_oracle(state, data) + hp.beta_sigma, rtol=1e-10)
-        npt.assert_allclose(p.shape, 4 * 3 / 2 + hp.alpha_sigma, rtol=1e-12)
+        shape, rate = noise_variance_params(state, data, hp)
+        npt.assert_allclose(rate, 0.5 * _rss_oracle(state, data) + hp.beta_sigma, rtol=1e-10)
+        npt.assert_allclose(shape, 4 * 3 / 2 + hp.alpha_sigma, rtol=1e-12)
 
 
 class TestHierarchicalKernels:
@@ -186,16 +186,16 @@ class TestHierarchicalKernels:
         data, hp, state, rng = self._gbtn_state()
         state.y[1, 1] = 0.3
         state.gtn_mu[1, 1] = 0.3
-        p = weight_precision_entry_params(state, hp, 1, 1)
-        npt.assert_allclose(p.shape, 1.5, rtol=1e-12)
-        npt.assert_allclose(p.rate, 1.0, rtol=1e-12)
+        shape, rate = weight_precision_entry_params(state, hp, 1, 1)
+        npt.assert_allclose(shape, 1.5, rtol=1e-12)
+        npt.assert_allclose(rate, 1.0, rtol=1e-12)
 
     def test_precision_rate_structure(self):
         data, hp, state, rng = self._gbtn_state()
         state.y[0, 3] = 0.9
         state.gtn_mu[0, 3] = 0.9 - np.sqrt(2.0)
-        p = weight_precision_entry_params(state, hp, 0, 3)
-        npt.assert_allclose(p.rate, hp.beta_t + 1.0, rtol=1e-12)
+        _, rate = weight_precision_entry_params(state, hp, 0, 3)
+        npt.assert_allclose(rate, hp.beta_t + 1.0, rtol=1e-12)
 
     def test_rejected_under_plain_variant(self):
         rng = np.random.default_rng(131)
@@ -393,6 +393,14 @@ class TestGramStatistics:
             a_sq = float(np.sum(data.values**2))
             want = float(np.sum(residual(data.values, state.y, state.j) ** 2))
             npt.assert_allclose(gram_rss(a_sq, state.y, gram, proj), want, rtol=1e-10, atol=1e-12 * a_sq)
+
+    @pytest.mark.parametrize("a_sq", [np.inf, np.nan])
+    def test_gram_rss_refuses_a_non_finite_loss(self, a_sq):
+        rng = np.random.default_rng(171)
+        data, hp, state = frozen_state(4, 3, 2, rng)
+        gram, proj = gram_statistics(data.values, state.j)
+        with pytest.raises(NumericalError, match=f"the loss is not finite \\({a_sq}\\)"):
+            gram_rss(a_sq, state.y, gram, proj)
 
     @pytest.mark.parametrize("stale", ["gram", "proj"])
     def test_stale_statistic_after_accepted_swap_is_caught(self, monkeypatch, stale):
@@ -710,6 +718,17 @@ class TestRunGibbs:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="squared column norms overflow"):
                 run_gibbs(ObservedMatrix.fully_observed(huge), hp, np.random.default_rng(0))
+
+    # under gbtn the rank-1 start draws Y_J from the prior, and numpy warns
+    # of the overflow in the loss's G_ss ||Y_s||^2 term before the guard raises
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["gbt", "gbtn"])
+    def test_overflowing_loss_raises_at_the_start(self, variant):
+        # the loss, not the sigma^2 draw made from it, is what refuses the run
+        data = ObservedMatrix.fully_observed(overflowing_loss_matrix())
+        hp = Hyperparameters(k=2, iterations=10, burn_in=2, variant=variant)
+        with pytest.raises(NumericalError, match="loss"):
+            run_gibbs(data, hp, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         data = ObservedMatrix.fully_observed(np.random.default_rng(179).normal(size=(10, 7)))
