@@ -73,8 +73,9 @@ class Hyperparameters:
         if not self.a < self.b:
             raise ConfigurationError(f"need a < b, got a={self.a}, b={self.b}")
         for name in ("alpha_sigma", "beta_sigma", "tau_mu", "alpha_t", "beta_t"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if not np.isfinite(self.mu_mu):
             raise ConfigurationError(f"mu_mu must be finite, got {self.mu_mu}")
         if self.iterations < 1:

@@ -43,6 +43,12 @@ class TestHyperparameters:
             {"k": 2, "tau_mu": 0.0},
             {"k": 2, "alpha_t": -0.5},
             {"k": 2, "beta_t": 0.0},
+            # an infinite prior parameter gives a meaningless chain
+            {"k": 2, "alpha_sigma": np.inf},
+            {"k": 2, "beta_sigma": np.inf},
+            {"k": 2, "tau_mu": np.inf},
+            {"k": 2, "alpha_t": np.inf},
+            {"k": 2, "beta_t": np.inf},
             {"k": 2, "mu_mu": np.nan},
             {"k": 2, "iterations": 0},
             {"k": 2, "iterations": 10, "burn_in": 10},
